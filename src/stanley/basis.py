@@ -322,6 +322,9 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     if rest < 0:
         raise NotRepresentableError(f"{value} lies below set element {a}")
     deltas: list[int] = []
+    # Once level k is reduced, a nonzero rest is a multiple of 3**(ell + k + 1),
+    # so a member value needs fewer than value.bit_length() levels.
+    max_levels = value.bit_length()
     k = 0
     while rest:
         b = sys.basis.element(k)
@@ -337,7 +340,7 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
         else:
             raise NotRepresentableError(f"{value} is not a member value")
         k += 1
-        if k > 80:
+        if k > max_levels:
             raise NotRepresentableError(f"{value} is not a member value")
     return Decomposition(a=a, delta=tuple(deltas))
 

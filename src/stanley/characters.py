@@ -28,10 +28,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Union
 
 from . import core, structure
-from .basis import Basis, ComposedSystem, compose, compose_system, expand_basis, modularize
+from .basis import Basis, ComposedSystem, _v3, compose, compose_system, expand_basis, modularize
 from .errors import (
     BudgetExceededError,
     DuplicateSumError,
@@ -65,14 +66,6 @@ class FamilyRecipe:
 class CharacterPlan:
     target: int
     recipe: Union[BasisRecipe, FamilyRecipe]
-
-
-def _v3(n: int) -> int:
-    v = 0
-    while n % 3 == 0:
-        n //= 3
-        v += 1
-    return v
 
 
 def _basis_head_for(mu: int) -> tuple[int, ...]:
@@ -231,9 +224,16 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     that exceeds ``depth``, so the certificate always reaches the level
     where the block structure locks in.
     """
+    return _certify(plan, plan_seed(plan), depth)
+
+
+def _certify(
+    plan: CharacterPlan, cover: NearModularSet, depth: int
+) -> structure.IndependenceCertificate:
+    # verify_plan's checks against a cover already built by plan_seed, so a
+    # caller that also reports the cover builds and verifies it only once.
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    cover = plan_seed(plan)
     block_scale = len(cover.elements).bit_length() - 1
     eff_depth = max(depth, block_scale)
     n_terms = 2 ** (eff_depth + 1)
@@ -378,6 +378,19 @@ def explore_basic_characters(
         raise ValueError("bounds must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
+    if budget is not None:
+        # Every head comes with both tails, except a head ending in the
+        # exact power 3**(length - 1): comb(p - 1, length - 1) such heads.
+        total = 0
+        for length in range(1, head_length + 1):
+            total += 2 * comb(max_entry, length)
+            p = 3 ** (length - 1)
+            if p <= max_entry:
+                total -= comb(p - 1, length - 1)
+        if total > budget:
+            raise BudgetExceededError(
+                f"{total} candidate heads exceed the budget {budget}"
+            )
     candidates: list[tuple[tuple[int, ...], str]] = []
     for length in range(1, head_length + 1):
         for head in combinations(range(1, max_entry + 1), length):
@@ -386,10 +399,6 @@ def explore_basic_characters(
             # last entry is already the exact power; skip the duplicate.
             if head[-1] != 3 ** (length - 1):
                 candidates.append((head, "geometric"))
-    if budget is not None and len(candidates) > budget:
-        raise BudgetExceededError(
-            f"{len(candidates)} candidate heads exceed the budget {budget}"
-        )
 
     if workers == 1:
         raw = map(_explore_candidate, candidates)

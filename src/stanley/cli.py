@@ -55,7 +55,6 @@ EXIT_FINDING = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_NODE_BUDGET = 10**8
 _JSON_SAFE_BOUND = 2**53
 
 FORMATS = ("plain", "csv", "json")
@@ -89,7 +88,7 @@ class RunConfig:
             return self.budget
         raw = os.environ.get("STANLEY_NODE_BUDGET")
         if raw is None:
-            return DEFAULT_NODE_BUDGET
+            return modsets.DEFAULT_NODE_BUDGET
         try:
             value = int(raw)
         except ValueError:
@@ -294,8 +293,8 @@ def _recipe_dict(recipe) -> dict:
 
 def _cmd_character(cfg: RunConfig) -> int:
     plan = characters.plan_character(cfg.target)
-    cert = characters.verify_plan(plan, depth=cfg.depth)
     cover = characters.plan_seed(plan)
+    cert = characters._certify(plan, cover, cfg.depth)
     terms = characters.realize_plan(plan, count=cfg.count) if cfg.count else None
 
     if cfg.fmt == "json":

@@ -15,6 +15,11 @@ terms costs O(n^2) sieve writes with small constants.  The sieve grows
 geometrically when a term-count bound is requested and the final value is
 not known in advance; regrowth re-marks all pairs, which stays cheap
 because regrowths are logarithmic in the final value.
+
+Seed validation runs has_3ap, a vectorized pass over row blocks of the
+pair table 2y - x: O(n^2) membership probes for n seed values, with
+O(n * B) working memory for blocks of B rows, plus a byte bitmap over
+the seed's span when that span is small.
 """
 
 from __future__ import annotations
@@ -31,6 +36,13 @@ from .errors import InvalidSeedError, OverflowLimitError
 VALUE_CAP = 2**62
 
 _SCAN_CHUNK = 8192
+
+# Row blocks of pair tables hold about this many cells (8 bytes each).
+_BLOCK_CELLS = 1 << 19
+
+# Membership tests use a byte bitmap up to this many values, binary search
+# over the sorted members beyond it.
+_DENSE_BOUND = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -55,20 +67,57 @@ class GreedySequence:
         return len(self.terms)
 
 
+def _member_mask(members: np.ndarray, bound: int):
+    # Membership test for a sorted distinct integer array ``members`` in
+    # [0, bound), applied to query arrays with entries in the same range.
+    # Bounds past _DENSE_BOUND also accept object arrays of Python ints.
+    if bound <= _DENSE_BOUND:
+        present = np.zeros(bound, dtype=bool)
+        present[members] = True
+        return present.__getitem__
+    last = len(members) - 1
+
+    def member(queries: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(members, queries)
+        np.minimum(pos, last, out=pos)
+        return members[pos] == queries
+
+    return member
+
+
 def has_3ap(elements: Iterable[int]) -> APWitness | None:
     """Return a witness progression inside ``elements``, or None.
 
-    Scans every pair (x, y) with x < y and asks whether 2*y - x is also
-    present; that finds the progression by its middle element, so the scan
-    is complete.
+    Tests every pair x < y for 2*y - x among the values, so it finds each
+    progression by its middle element; the witness has the smallest y,
+    then the smallest x.  Values are translated by their minimum and
+    checked in int64 row blocks: O(n^2) probes and O(n * B) memory for
+    blocks of B rows, plus a bitmap of twice the span when the span is
+    below 2**23.  A span too wide for int64 runs the same blocks on
+    Python ints, so the answer is exact for any integers.
     """
     values = sorted(set(elements))
-    present = set(values)
-    for j, y in enumerate(values):
-        for x in values[:j]:
-            z = 2 * y - x
-            if z in present:
-                return APWitness(x, y, z)
+    n = len(values)
+    if n < 3:
+        return None
+    lo = values[0]
+    span = values[-1] - lo
+    arr = np.array(
+        [v - lo for v in values],
+        dtype=np.int64 if span < VALUE_CAP else object,
+    )
+    member = _member_mask(arr, 2 * span + 1)
+    index = np.arange(n)
+    rows = max(1, _BLOCK_CELLS // n)
+    for j0 in range(0, n, rows):
+        j1 = min(n, j0 + rows)
+        # hit[i, k]: x = values[k] < y = values[j0 + i] with 2y - x present.
+        hit = member(2 * arr[j0:j1, None] - arr[None, :j1])
+        hit &= index[None, :j1] < index[j0:j1, None]
+        if hit.any():
+            i, k = divmod(int(np.argmax(hit)), j1)
+            x, y = values[k], values[j0 + i]
+            return APWitness(x, y, 2 * y - x)
     return None
 
 

@@ -119,3 +119,45 @@ def recheck_certificate(terms, cert):
     if cert.chi > 0 and level_holds(cert.chi - 1):
         return False
     return terms[2**cert.chi] == cert.repeat_factor
+
+
+def naive_first_3ap(values):
+    """First progression (x, y, 2y - x) by smallest y, then smallest x."""
+    vals = sorted(set(values))
+    present = set(vals)
+    for y in vals:
+        for x in vals:
+            if x < y and 2 * y - x in present:
+                return (x, y, 2 * y - x)
+    return None
+
+
+def naive_first_violation(elements, modulus):
+    """First near-modular violation of a set of distinct integers.
+
+    Returns (kind, details) or None, checking in the reporting order: a
+    missing 0; the smallest repeated residue, as x = 2y - y with its two
+    smallest elements; the first x = 2y - z (mod N) with y != z, by y and
+    then z in increasing order; the smallest residue no 2y - z with
+    y >= z reaches.
+    """
+    a = sorted(elements)
+    if not a or a[0] != 0:
+        return ("missing-zero", ())
+    for r in sorted({v % modulus for v in a}):
+        same = [v for v in a if v % modulus == r]
+        if len(same) > 1:
+            return ("mod-ap", (same[0], same[1], same[1]))
+    owner = {v % modulus: v for v in a}
+    for y in a:
+        for z in a:
+            r = (2 * y - z) % modulus
+            if y != z and r in owner:
+                return ("mod-ap", (owner[r], y, z))
+    covered = {(2 * y - z) % modulus for y in a for z in a if y >= z}
+    r = 0
+    while r < modulus:
+        if r not in covered:
+            return ("uncovered-residue", (r,))
+        r += 1
+    return None

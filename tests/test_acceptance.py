@@ -221,7 +221,7 @@ def test_criterion_09_property_suites():
             terms = generate(seed, count=96).terms
             cert = analyze_independence(terms, max_depth=6)
             assert cert.independent
-            recheck_certificate(terms, cert)
+            assert recheck_certificate(terms, cert)
 
         # worker count must not change search output
         solo = search_near_modular(1, 9, workers=1)

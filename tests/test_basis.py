@@ -232,6 +232,15 @@ def test_decompose_recompose_is_identity_on_members(bits):
     assert dec.delta == trimmed
 
 
+def test_decompose_beyond_eighty_levels():
+    # 3**102 is basis element 100 of this system, 101 levels deep.
+    sys1 = compose_system(family_set(1, "A"), ell=2)
+    value = 6 + 3**102
+    dec = decompose(value, sys1)
+    assert dec.a == 6 and dec.delta == (0,) * 100 + (1,)
+    assert recompose(dec, sys1) == value
+
+
 def test_decomposition_value_helper():
     sys1 = compose_system(family_set(1, "A"), ell=2)
     assert Decomposition(a=5, delta=(1, 0, 1)).value(sys1) == 5 + 9 + 81

@@ -1,5 +1,7 @@
 """Planner, realization cross-check, residue coverage, exploration."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +252,22 @@ def realize_plan_like(result):
         Basis(result.head, geometric_tail=(result.tail == "geometric")),
         count=32,
     )
+
+
+def test_explore_budget_checked_before_enumeration():
+    # comb(10**6, 40) heads: enumerating them first would never finish.
+    with pytest.raises(BudgetExceededError, match="exceed the budget 1000"):
+        explore_basic_characters(40, 10**6, budget=1000)
+
+
+@pytest.mark.parametrize("head_length, max_entry", [(1, 1), (2, 3), (3, 10), (4, 30), (5, 12)])
+def test_explore_budget_counts_every_candidate(head_length, max_entry):
+    heads = (
+        h for n in range(1, head_length + 1) for h in combinations(range(1, max_entry + 1), n)
+    )
+    total = sum(1 if h[-1] == 3 ** (len(h) - 1) else 2 for h in heads)
+    with pytest.raises(BudgetExceededError, match=f"^{total} candidate heads"):
+        explore_basic_characters(head_length, max_entry, budget=total - 1)
 
 
 def test_explore_budget_and_workers():

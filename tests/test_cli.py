@@ -120,6 +120,19 @@ def test_modset_near_flag(capsys):
     assert code2 == EXIT_FINDING  # strict mode insists on range
 
 
+def test_modset_near_element_past_int64(capsys):
+    # 6 + 9 * 2**70 has the residue of 15 mod 9, so the verdict must match.
+    big = str(6 + 9 * 2**70)
+    small = run_cli(capsys, "modset", "--near", "--elements", "0,2,5,15", "--modulus", "9")
+    huge = run_cli(capsys, "modset", "--near", "--elements", f"0,2,5,{big}", "--modulus", "9")
+    assert huge == small == (EXIT_OK, "verdict: near-modular-only\n", "")
+    code, payload, _ = run_json(
+        capsys, "modset", "--near", "--elements", f"0,2,5,{big}", "--modulus", "9"
+    )
+    assert code == EXIT_OK and payload["verdict"] == "near-modular-only"
+    assert payload["elements"][-1] == big
+
+
 def test_search_finds_known_set(capsys):
     code, payload, _ = run_json(
         capsys, "search", "--ell", "1", "--max-element", "6"

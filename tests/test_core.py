@@ -1,5 +1,7 @@
 """Greedy generator against the quadratic oracle and the closed form."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from stanley import (
     zero_sequence_value,
 )
 
-from .naive import naive_is_3ap_free, naive_stanley
+from stanley import core
+
+from .naive import naive_first_3ap, naive_is_3ap_free, naive_stanley
 
 
 # strictly increasing AP-free seeds starting at 0, built incrementally so
@@ -151,6 +155,53 @@ def test_has_3ap_witness():
     w = has_3ap([0, 5, 10, 11])
     assert w is not None and w.x + w.z == 2 * w.y
     assert has_3ap([0, 1, 3, 4]) is None
+
+
+def _witness_tuple(elements):
+    w = has_3ap(elements)
+    return None if w is None else (w.x, w.y, w.z)
+
+
+_INT64 = 2**63
+_value_lists = st.one_of(
+    st.lists(st.integers(-60, 60), max_size=14),
+    st.lists(st.integers(_INT64 - 40, _INT64 + 40), max_size=14),
+    st.lists(st.integers(-(2**70), 2**70), max_size=8),
+    st.lists(st.sampled_from([-(2**64), -7, 0, 3, _INT64, _INT64 + 3, 2**65]), max_size=8),
+)
+
+
+@given(_value_lists)
+@settings(max_examples=300, deadline=None)
+def test_has_3ap_witness_matches_pair_loop(values):
+    # Duplicates, negative values and values past int64 included; the
+    # row-block layouts force several blocks and the binary-search path.
+    want = naive_first_3ap(values)
+    assert _witness_tuple(values) == want
+    for block_cells, dense_bound in ((1, 1 << 24), (5, 0), (30, 9)):
+        with mock.patch.object(core, "_BLOCK_CELLS", block_cells), mock.patch.object(
+            core, "_DENSE_BOUND", dense_bound
+        ):
+            assert _witness_tuple(values) == want
+
+
+@given(
+    st.one_of(
+        st.sets(st.integers(0, 3000), min_size=40, max_size=120),
+        # 3-AP-free greedy prefixes, with at most one extra value planted
+        st.builds(
+            lambda n, extra: set(generate((0,), count=n).terms) | extra,
+            st.integers(40, 200),
+            st.sets(st.integers(0, 5000), max_size=1),
+        ),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_has_3ap_witness_matches_pair_loop_on_larger_sets(values):
+    want = naive_first_3ap(values)
+    with mock.patch.object(core, "_BLOCK_CELLS", 256):
+        assert _witness_tuple(values) == want
+    assert _witness_tuple(values) == want
 
 
 def test_is_admissible_contract():

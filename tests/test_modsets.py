@@ -1,5 +1,9 @@
 """Modular set verification, the family table, block expansion, search."""
 
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,18 +11,29 @@ from hypothesis import strategies as st
 from stanley import (
     BudgetExceededError,
     NotModularError,
+    compose_system,
     expand_modular,
     family_modulus,
     family_set,
     family_table,
     generate,
+    modularize,
+    plan_character,
+    plan_seed,
     search_near_modular,
     verify_modular,
     verify_near_modular,
     zero_sequence_value,
 )
 
-from .naive import naive_is_modular, naive_is_near_modular, naive_search
+from stanley import core, modsets
+
+from .naive import (
+    naive_first_violation,
+    naive_is_modular,
+    naive_is_near_modular,
+    naive_search,
+)
 
 
 def test_zero_sequence_closed_form():
@@ -173,3 +188,112 @@ def test_search_results_are_verified_sets():
     for s in search_near_modular(1, 12):
         assert verify_near_modular(s.elements, s.modulus).ok
         assert s.elements[0] == 0 and s.elements[-1] == 12
+
+
+# ---------------------------------------------------------------------------
+# The row-block kernel against the brute-force oracle.
+
+
+@contextmanager
+def kernel_layout(block_cells, dense_bound):
+    # Shrink the row blocks and the bitmap cut-over so that small sets run
+    # through several blocks and through the binary-search membership path.
+    with mock.patch.object(modsets, "_BLOCK_CELLS", block_cells), mock.patch.object(
+        core, "_DENSE_BOUND", dense_bound
+    ):
+        yield
+
+
+LAYOUTS = [(1 << 19, 1 << 24), (1, 1 << 24), (7, 0), (40, 5)]
+
+
+def expected_violation(elements, modulus, strict):
+    values = sorted(elements)
+    if strict and values and values[0] == 0:
+        outside = tuple(v for v in values if v >= modulus)
+        if outside:
+            return ("out-of-range", outside)
+    return naive_first_violation(values, modulus)
+
+
+def assert_matches_oracle(elements, modulus):
+    for strict, verify in ((False, verify_near_modular), (True, verify_modular)):
+        want = expected_violation(elements, modulus, strict)
+        for layout in LAYOUTS:
+            with kernel_layout(*layout):
+                report = verify(sorted(elements), modulus)
+            got = report.violation
+            if want is None:
+                assert got is None and report.ok, (layout, report)
+            else:
+                assert (got.kind, got.details) == want, (layout, report)
+                assert report.verdict == "invalid"
+
+
+@given(st.sets(st.integers(0, 60), max_size=10), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_verification_matches_oracle_on_random_sets(elements, modulus):
+    assert_matches_oracle(elements, modulus)
+
+
+@given(
+    st.sampled_from(sorted((e.index, e.side) for e in family_table())),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_verification_matches_oracle_on_near_modular_sets(family, shift, extra):
+    index, side = family
+    elements = family_set(index, side, shift)
+    # Near-modular, but also checked against every smaller modulus power.
+    assert_matches_oracle(elements, family_modulus(index) // 3**extra)
+
+
+@given(
+    st.sampled_from(sorted((e.index, e.side) for e in family_table() if e.index <= 2)),
+    st.integers(0, 2),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_verification_matches_oracle_on_mutated_covers(family, shift, data):
+    index, side = family
+    cover = modularize(compose_system(family_set(index, side, shift), ell=index + 1))
+    values = list(cover.elements)
+    pos = data.draw(st.integers(0, len(values) - 1))
+    action = data.draw(st.sampled_from(["keep", "drop", "move", "add"]))
+    if action == "drop":
+        del values[pos]
+    elif action == "move":
+        values[pos] += data.draw(st.sampled_from([1, 2, cover.modulus, 5 * 2**70]))
+    elif action == "add":
+        values.append(data.draw(st.integers(0, 3 * cover.modulus)))
+    if len(set(values)) == len(values):
+        assert_matches_oracle(values, cover.modulus)
+
+
+def test_verification_is_exact_past_int64():
+    big = 2**70
+    for elements, modulus in (
+        ([0, 2, 5, 6 + 9 * big], 9),
+        ([0, 2, 5, 3 + 9 * big], 9),
+        ([0, 1, big, 2 * big - 1], 3 * big + 1),
+        ([0, 2, 5, 8], 2**62 + 1),
+        ([0, 4, 10, 12], 2**64),
+    ):
+        assert_matches_oracle(elements, modulus)
+    assert verify_near_modular([0, 2, 5, 6 + 9 * big], 9).verdict == "near-modular-only"
+
+
+def test_large_cover_verification_memory():
+    # 4096 elements modulo 3**12: the full |A| x |A| table would need
+    # 128 MB in int64; the row blocks stay far below that.
+    cover = plan_seed(plan_character(300002))
+    assert len(cover.elements) == 4096
+    tracemalloc.start()
+    try:
+        report = verify_modular(cover.elements, cover.modulus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "modular"
+    assert peak < 64 * 2**20
