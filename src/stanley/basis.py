@@ -322,9 +322,8 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     if rest < 0:
         raise NotRepresentableError(f"{value} lies below set element {a}")
     deltas: list[int] = []
-    # Once level k is reduced, a nonzero rest is a multiple of 3**(ell + k + 1),
-    # so a member value needs fewer than value.bit_length() levels.
-    max_levels = value.bit_length()
+    # After level k a nonzero rest is a positive multiple of 3**(ell + k + 1)
+    # that never grows, so the loop ends within log3(value - a) levels.
     k = 0
     while rest:
         b = sys.basis.element(k)
@@ -340,8 +339,6 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
         else:
             raise NotRepresentableError(f"{value} is not a member value")
         k += 1
-        if k > max_levels:
-            raise NotRepresentableError(f"{value} is not a member value")
     return Decomposition(a=a, delta=tuple(deltas))
 
 

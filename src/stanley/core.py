@@ -18,8 +18,9 @@ because regrowths are logarithmic in the final value.
 
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
-O(n * B) working memory for blocks of B rows, plus a byte bitmap over
-the seed's span when that span is small.
+O(n * B) working memory for blocks of B rows.  Probes go to a byte bitmap
+over the seed's span when that bitmap is small next to the pair table,
+to a binary search otherwise.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ _SCAN_CHUNK = 8192
 
 # Row blocks of pair tables hold about this many cells (8 bytes each).
 _BLOCK_CELLS = 1 << 19
-
-# Membership tests use a byte bitmap up to this many values, binary search
-# over the sorted members beyond it.
-_DENSE_BOUND = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -70,16 +67,19 @@ class GreedySequence:
 def _member_mask(members: np.ndarray, bound: int):
     # Membership test for a sorted distinct integer array ``members`` in
     # [0, bound), applied to query arrays with entries in the same range.
-    # Bounds past _DENSE_BOUND also accept object arrays of Python ints.
-    if bound <= _DENSE_BOUND:
+    # A byte bitmap serves when it is no larger than one row block of
+    # int64 cells and has no more entries than the n * n probes of a pair
+    # table; binary search, which also takes object arrays of Python ints,
+    # serves otherwise.
+    n = len(members)
+    if bound <= min(n * n, 8 * _BLOCK_CELLS):
         present = np.zeros(bound, dtype=bool)
         present[members] = True
         return present.__getitem__
-    last = len(members) - 1
 
     def member(queries: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(members, queries)
-        np.minimum(pos, last, out=pos)
+        np.minimum(pos, n - 1, out=pos)
         return members[pos] == queries
 
     return member
@@ -92,8 +92,7 @@ def has_3ap(elements: Iterable[int]) -> APWitness | None:
     progression by its middle element; the witness has the smallest y,
     then the smallest x.  Values are translated by their minimum and
     checked in int64 row blocks: O(n^2) probes and O(n * B) memory for
-    blocks of B rows, plus a bitmap of twice the span when the span is
-    below 2**23.  A span too wide for int64 runs the same blocks on
+    blocks of B rows.  A span too wide for int64 runs the same blocks on
     Python ints, so the answer is exact for any integers.
     """
     values = sorted(set(elements))

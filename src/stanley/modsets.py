@@ -16,10 +16,11 @@ sequence by 2*j*3**(i+1); the character planner leans on exactly that.
 Verification is one pass over row blocks of the table 2y - z (mod N),
 computed from residues so elements of any size stay exact: O(|A|^2)
 cells in O(|A| * B) working memory for blocks of B rows.  A cell is
-looked up among the residues in a byte bitmap of N entries for N up to
-2**24, by binary search beyond; covered residues go in a bitmap of
-min(N, |A|(|A|+1)/2 + 1) entries.  Verifying a 4096-element cover modulo
-3**12 allocates about 14 MB at its peak.
+looked up among the residues in a byte bitmap of N entries when N is at
+most |A|^2 and at most the byte size of one block, by binary search
+otherwise; covered residues go in a bitmap of min(N, |A|(|A|+1)/2 + 1)
+entries.  Verifying a 4096-element cover modulo 3**12 allocates about
+14 MB at its peak.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Greedy generator against the quadratic oracle and the closed form."""
 
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,14 +176,12 @@ _value_lists = st.one_of(
 @given(_value_lists)
 @settings(max_examples=300, deadline=None)
 def test_has_3ap_witness_matches_pair_loop(values):
-    # Duplicates, negative values and values past int64 included; the
-    # row-block layouts force several blocks and the binary-search path.
+    # Duplicates, negative values and values past int64 included; small
+    # row blocks force several blocks per call and the binary-search path.
     want = naive_first_3ap(values)
     assert _witness_tuple(values) == want
-    for block_cells, dense_bound in ((1, 1 << 24), (5, 0), (30, 9)):
-        with mock.patch.object(core, "_BLOCK_CELLS", block_cells), mock.patch.object(
-            core, "_DENSE_BOUND", dense_bound
-        ):
+    for block_cells in (1, 5, 30):
+        with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
             assert _witness_tuple(values) == want
 
 
@@ -202,6 +202,33 @@ def test_has_3ap_witness_matches_pair_loop_on_larger_sets(values):
     with mock.patch.object(core, "_BLOCK_CELLS", 256):
         assert _witness_tuple(values) == want
     assert _witness_tuple(values) == want
+
+
+@given(st.sets(st.integers(0, 200), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_member_mask_paths_agree(members):
+    # Default blocks take the 201-entry bitmap once there are 15 members;
+    # one-cell blocks, or fewer members, take binary search.
+    arr = np.array(sorted(members), dtype=np.int64)
+    queries = np.arange(201, dtype=np.int64).reshape(3, 67)
+    want = np.isin(queries, arr)
+    for block_cells in (1, 1 << 19):
+        with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
+            assert (core._member_mask(arr, 201)(queries) == want).all()
+    # Bounds past int64 take object arrays of Python ints.
+    member = core._member_mask(arr.astype(object), 2**64)
+    assert (member(queries.astype(object)) == want).all()
+
+
+def test_has_3ap_memory_follows_set_size_not_span():
+    # Three values over a span of 2**22: no bitmap over the whole span.
+    tracemalloc.start()
+    try:
+        assert has_3ap([0, 1, 2**22]) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_is_admissible_contract():

@@ -195,16 +195,16 @@ def test_search_results_are_verified_sets():
 
 
 @contextmanager
-def kernel_layout(block_cells, dense_bound):
-    # Shrink the row blocks and the bitmap cut-over so that small sets run
-    # through several blocks and through the binary-search membership path.
+def kernel_layout(block_cells):
+    # Shrink the row blocks, and with them the largest residue bitmap, so
+    # that small sets run through several blocks and both membership paths.
     with mock.patch.object(modsets, "_BLOCK_CELLS", block_cells), mock.patch.object(
-        core, "_DENSE_BOUND", dense_bound
+        core, "_BLOCK_CELLS", block_cells
     ):
         yield
 
 
-LAYOUTS = [(1 << 19, 1 << 24), (1, 1 << 24), (7, 0), (40, 5)]
+LAYOUTS = [1 << 19, 1, 7, 40]
 
 
 def expected_violation(elements, modulus, strict):
@@ -220,7 +220,7 @@ def assert_matches_oracle(elements, modulus):
     for strict, verify in ((False, verify_near_modular), (True, verify_modular)):
         want = expected_violation(elements, modulus, strict)
         for layout in LAYOUTS:
-            with kernel_layout(*layout):
+            with kernel_layout(layout):
                 report = verify(sorted(elements), modulus)
             got = report.violation
             if want is None:
