@@ -40,7 +40,7 @@ from .errors import (
     NotRealizableError,
     PlanVerificationError,
 )
-from .modsets import NearModularSet, family_modulus, family_set, verify_modular
+from .modsets import NearModularSet, _worker_count, family_modulus, family_set, verify_modular
 
 EXCLUDED_MODULUS = 486
 EXCLUDED_RESIDUE = 244
@@ -372,7 +372,8 @@ def explore_basic_characters(
     observational and makes no completeness claim; this is where odd
     characters (such as 7, from the head (1, 7, 10) continued
     geometrically) become visible.  ``budget`` caps the number of
-    candidate expansions.
+    candidate expansions; no more than ``workers`` processes start, nor
+    more than there are candidates or usable CPUs.
     """
     if head_length < 1 or max_entry < 1:
         raise ValueError("bounds must be positive")
@@ -400,6 +401,7 @@ def explore_basic_characters(
             if head[-1] != 3 ** (length - 1):
                 candidates.append((head, "geometric"))
 
+    workers = _worker_count(workers, len(candidates))
     if workers == 1:
         raw = map(_explore_candidate, candidates)
     else:

@@ -16,7 +16,7 @@ Exit codes are part of the contract:
   244 mod 486 class).
 * 2: input error (malformed seed, odd or negative character target,
   nonsensical bounds).
-* 3: resource limit (node budget, value overflow).
+* 3: resource limit (node budget, value overflow, out of memory).
 
 The environment variable STANLEY_NODE_BUDGET overrides the default
 search and exploration budget of 10**8 nodes; an explicit --budget flag
@@ -582,6 +582,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FINDING
     except (BudgetExceededError, OverflowLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_RESOURCE
     except (
         InvalidSeedError,

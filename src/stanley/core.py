@@ -9,12 +9,14 @@ to be tested as the *largest* element of a progression.
 
 The generator keeps a byte-per-value sieve of blocked values: whenever a
 term t is appended, every value 2*t - x for earlier terms x becomes
-forever inadmissible.  Appending is one vectorized scatter per term and
-candidate scanning is a chunked argmin over the sieve, so generating n
-terms costs O(n^2) sieve writes with small constants.  The sieve grows
-geometrically when a term-count bound is requested and the final value is
-not known in advance; regrowth re-marks all pairs, which stays cheap
-because regrowths are logarithmic in the final value.
+forever inadmissible.  Because terms increase, the earlier terms whose
+marks land inside the sieve form one slice, so appending is one
+vectorized scatter per term and candidate scanning is a chunked argmin
+over the sieve: generating n terms costs O(n^2) sieve writes with small
+constants.  The sieve grows fourfold when a term-count bound is requested
+and the final value is not known in advance.  A regrowth copies the old
+marks and writes only the marks the old sieve dropped, those at or above
+its capacity, so no pair is ever marked twice.
 
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
@@ -176,14 +178,39 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
     return ordered
 
 
-def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, k: int) -> None:
-    # Re-mark every blocked value 2*y - x over all pairs x < y of the
-    # first k terms.  Used after a sieve regrowth; idempotent.
-    cap = len(blocked)
-    for j in range(1, k):
-        vals = 2 * int(terms[j]) - terms[:j]
-        vals = vals[vals < cap]
-        blocked[vals] = True
+def _capacity_guess(count: int, last: int) -> int:
+    # First sieve size under a term-count bound: a growth-law guess (a_n is
+    # roughly n**log2(3) for the tamest seeds, far larger for chaotic ones).
+    # Underestimates regrow geometrically.
+    return int(2 * count ** 1.585) + 4 * last + 256
+
+
+def _mark(blocked: np.ndarray, twice: int, xs: np.ndarray, buf: np.ndarray) -> None:
+    # Block twice - x for every x in xs; every mark must lie in the sieve.
+    # ``buf`` is int64 scratch at least as long as xs.
+    marks = buf[: len(xs)]
+    np.subtract(twice, xs, out=marks)
+    blocked[marks] = True
+
+
+def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, floor: int, buf: np.ndarray) -> None:
+    # Block 2y - x for the pairs x < y of the increasing ``terms`` whose
+    # mark lies in [floor, len(blocked)).  For each y these x form one
+    # slice: marks past the sieve come from its low end, marks below floor
+    # (already in a regrown sieve) from its high end.
+    twice = 2 * terms
+    lo = np.searchsorted(terms, twice - len(blocked), "right")
+    hi = np.minimum(np.searchsorted(terms, twice - floor, "right"), np.arange(len(terms)))
+    for j in np.flatnonzero(lo < hi):
+        _mark(blocked, twice[j], terms[lo[j] : hi[j]], buf)
+
+
+def _grow(blocked: np.ndarray) -> np.ndarray:
+    # A sieve four times as long holding the same marks.  The caller drops
+    # the old sieve on assignment, before the dropped marks are written.
+    grown = np.zeros(4 * len(blocked), dtype=bool)
+    grown[: len(blocked)] = blocked
+    return grown
 
 
 def _next_free(blocked: np.ndarray, start: int, stop: int) -> int:
@@ -191,7 +218,7 @@ def _next_free(blocked: np.ndarray, start: int, stop: int) -> int:
     pos = start
     while pos < stop:
         window = blocked[pos : min(pos + _SCAN_CHUNK, stop)]
-        idx = int(np.argmin(window))
+        idx = int(window.argmin())
         if not window[idx]:
             return pos + idx
         pos += len(window)
@@ -223,22 +250,18 @@ def generate(
     if count is not None and count == len(seed_t):
         return GreedySequence(seed_t, seed_t, count, limit)
 
-    # Sieve capacity: exact when a value limit exists, a growth-law guess
-    # (a_n is roughly n**log2(3) for the tamest seeds, far larger for
-    # chaotic ones) otherwise.  Underestimates regrow geometrically.
-    if limit is not None:
-        cap = limit + 2
-    else:
-        cap = int(2 * count ** 1.585) + 4 * seed_t[-1] + 256
+    # Sieve capacity: exact when a value limit exists, a guess otherwise.
+    cap = limit + 2 if limit is not None else _capacity_guess(count, seed_t[-1])
     if cap >= VALUE_CAP:
         raise OverflowLimitError("required sieve capacity leaves the 64-bit range")
 
     terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
     terms_buf[: len(seed_t)] = seed_t
+    buf = np.empty_like(terms_buf)
     k = len(seed_t)
 
     blocked = np.zeros(cap, dtype=bool)
-    _mark_pairs(blocked, terms_buf, k)
+    _mark_pairs(blocked, terms_buf[:k], 0, buf)
 
     last = seed_t[-1]
     while True:
@@ -249,21 +272,22 @@ def generate(
         if c < 0:
             if limit is not None and scan_stop == limit + 1:
                 break  # value bound exhausted
-            new_cap = cap * 4
-            if new_cap >= VALUE_CAP:
+            if 4 * cap >= VALUE_CAP:
                 raise OverflowLimitError("sieve capacity left the 64-bit range")
-            cap = new_cap
-            blocked = np.zeros(cap, dtype=bool)
-            _mark_pairs(blocked, terms_buf, k)
+            blocked = _grow(blocked)
+            _mark_pairs(blocked, terms_buf[:k], cap, buf)
+            cap = len(blocked)
             continue
         if c >= VALUE_CAP // 2:
             raise OverflowLimitError("term value left the 64-bit range")
         if k == len(terms_buf):
             terms_buf = np.concatenate([terms_buf, np.zeros(len(terms_buf), np.int64)])
+            buf = np.empty_like(terms_buf)
         terms_buf[k] = c
-        vals = 2 * c - terms_buf[:k]
-        vals = vals[vals < cap]
-        blocked[vals] = True
+        # Every mark 2c - x fits unless 2c reaches the sieve's end; then the
+        # x at or below 2c - cap, a prefix, are cut off.
+        lo = 0 if 2 * c < cap else int(np.searchsorted(terms_buf[:k], 2 * c - cap, "right"))
+        _mark(blocked, 2 * c, terms_buf[lo:k], buf)
         k += 1
         last = c
 

@@ -26,6 +26,7 @@ entries.  Verifying a 4096-element cover modulo 3**12 allocates about
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -350,6 +351,15 @@ def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
     return found, nodes
 
 
+def _worker_count(requested: int, jobs: int) -> int:
+    # Processes worth starting: no more than the jobs or the usable CPUs.
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, jobs, cpus))
+
+
 def search_near_modular(
     ell: int,
     max_element: int,
@@ -365,7 +375,8 @@ def search_near_modular(
     as they appear.  Results come back sorted and duplicate-free, and are
     identical for every worker count: the tree splits at fixed depth-2
     prefixes, branches are independent, and branch results are merged in
-    prefix order.  ``first_only`` stops at the lexicographically first hit.
+    prefix order.  No more processes start than there are prefixes or
+    usable CPUs.  ``first_only`` stops at the lexicographically first hit.
     Exceeding ``budget`` raises BudgetExceededError.
     """
     if ell < 1:
@@ -395,9 +406,10 @@ def search_near_modular(
         raise BudgetExceededError(f"node budget exceeded ({budget})")
 
     jobs = [(p, modulus, size, max_element, budget) for p in prefixes]
+    workers = _worker_count(workers, len(jobs))
     results: list[tuple[int, ...]] = []
 
-    if workers == 1 or first_only or len(jobs) <= 1:
+    if workers == 1 or first_only:
         for job in jobs:
             found, nodes = _branch_search(job)
             nodes_used += nodes

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from stanley import core
 from stanley.cli import (
     EXIT_FINDING,
     EXIT_INPUT,
@@ -72,6 +73,20 @@ def test_gen_overflow_is_resource_exit(capsys):
         capsys, "gen", "--seed", f"0,{2**61}", "--count", "5"
     )
     assert code == EXIT_RESOURCE and "64-bit" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 37.3 GiB", ""], ids=["numpy", "bare"])
+def test_memory_error_is_resource_exit(capsys, monkeypatch, message):
+    # The seed 0,10**10 asks for a 40 GB sieve; the allocation failure is
+    # simulated, never made.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(core, "generate", out_of_memory)
+    code, out, err = run_cli(capsys, "gen", "--seed", "0,10000000000", "--count", "3")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert message in err
 
 
 def test_analyze_independent(capsys):

@@ -109,14 +109,40 @@ def test_count_equal_to_seed_returns_seed():
     assert generate([0, 1, 7], count=3).terms == (0, 1, 7)
 
 
-def test_regrowth_consistency():
-    # tiny initial capacity guess for a chaotic seed forces regrowth
-    seq = generate([0, 4], count=300)
-    assert naive_is_3ap_free(seq.terms[:50])
-    assert list(seq.terms[:5]) == [0, 4, 5, 7, 11]
-    # same answer when the limit forces an exact-size sieve
-    again = generate([0, 4], limit=seq.terms[-1])
-    assert again.terms == seq.terms
+@pytest.mark.parametrize("first", [1, 16, 45])
+def test_regrowth_keeps_marks(monkeypatch, first):
+    # A tiny first sieve forces several fourfold regrowths.  Each copies the
+    # old marks and writes only the marks the old sieve dropped, so a lost
+    # or misplaced mark shows up as a wrong term.  Seeds reaching past half
+    # the first sieve have their own marks cut as well.
+    grown = []
+    real_grow = core._grow
+
+    def spy(blocked):
+        grown.append(len(blocked))
+        return real_grow(blocked)
+
+    monkeypatch.setattr(core, "_capacity_guess", lambda count, last: first)
+    monkeypatch.setattr(core, "_grow", spy)
+    seeds = ([0], [0, 4], [0, 1, 7], [0, 7, 11], [0, 1, 13], [0, 13, 14],
+             [0, 3, 5, 15], [0, 9, 11, 17])
+    for seed in seeds:
+        grown.clear()
+        seq = generate(seed, count=200)
+        assert len(grown) >= 2
+        assert list(seq.terms) == naive_stanley(seed, 200)
+        # same answer from an exact-size sieve that never regrows
+        assert generate(seed, limit=seq.terms[-1]).terms == seq.terms
+
+
+@given(ap_free_seeds(), st.integers(0, 400))
+@settings(max_examples=60, deadline=None)
+def test_limit_mode_matches_naive_oracle(seed, headroom):
+    # The sieve holds limit + 2 values, so every term above limit / 2 (and
+    # the seed, when it reaches that far) cuts the low end of its slice.
+    limit = seed[-1] + headroom
+    got = list(generate(seed, limit=limit).terms)
+    assert got == [t for t in naive_stanley(seed, len(got) + 1) if t <= limit]
 
 
 def test_generate_requires_some_bound():

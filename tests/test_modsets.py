@@ -1,5 +1,6 @@
 """Modular set verification, the family table, block expansion, search."""
 
+import os
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -13,6 +14,7 @@ from stanley import (
     NotModularError,
     compose_system,
     expand_modular,
+    explore_basic_characters,
     family_modulus,
     family_set,
     family_table,
@@ -26,7 +28,7 @@ from stanley import (
     zero_sequence_value,
 )
 
-from stanley import core, modsets
+from stanley import characters, core, modsets
 
 from .naive import (
     naive_first_violation,
@@ -165,6 +167,45 @@ def test_search_worker_counts_agree():
     solo = search_near_modular(2, 18, workers=1)
     multi = search_near_modular(2, 18, workers=3)
     assert solo == multi
+
+
+@pytest.mark.parametrize(
+    "requested,cpus,expected",
+    [(2, 2, 2), (64, 2, 2), (64, 8, 8), (10**9, 128, "jobs"), (3, 1, None)],
+)
+def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
+    # No process starts: the pool runs in this process and records the
+    # worker count it was asked for, and the CPU affinity is patched.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
+    jobs = {"search": 72, "explore": 87}  # depth-2 prefixes; heads x tails
+    for name, run in (
+        ("search", lambda: search_near_modular(2, 18, workers=requested)),
+        ("explore", lambda: explore_basic_characters(2, 9, workers=requested)),
+    ):
+        sizes.clear()
+        run()
+        want = jobs[name] if expected == "jobs" else expected
+        assert sizes == ([] if want is None else [want])
 
 
 def test_search_first_only():
