@@ -18,6 +18,9 @@ Exit codes are part of the contract:
   nonsensical bounds).
 * 3: resource limit (node budget, value overflow, out of memory).
 
+A reader that closes stdout early (``stanley gen ... | head``) is not an
+error: the run stops writing and exits 0 with nothing on stderr.
+
 The environment variable STANLEY_NODE_BUDGET overrides the default
 search and exploration budget of 10**8 nodes; an explicit --budget flag
 wins over both.
@@ -574,6 +577,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         return run(cfg)
+    except BrokenPipeError:
+        return EXIT_OK
     except NotRealizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDING if exc.reason == "residue-244" else EXIT_INPUT
@@ -602,8 +607,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's
+        # last flush of what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

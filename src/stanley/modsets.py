@@ -21,6 +21,12 @@ most |A|^2 and at most the byte size of one block, by binary search
 otherwise; covered residues go in a bitmap of min(N, |A|(|A|+1)/2 + 1)
 entries.  Verifying a 4096-element cover modulo 3**12 allocates about
 14 MB at its peak.
+
+The search keeps, for the elements chosen so far, a byte bitmap of the
+residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
+close a progression exactly when c mod N lies in {2a - b, (a + b)/2 : a, b
+chosen}, so a candidate is checked with one lookup, and admitting an
+element closes O(|chosen|) residues.
 """
 
 from __future__ import annotations
@@ -287,24 +293,26 @@ def family_table() -> tuple[FamilyEntry, ...]:
 # Exhaustive search for near-modular sets.
 
 
-def _extension_ok(chosen: list[int], residues: set[int], cand: int, modulus: int) -> bool:
-    # Incremental progression check: adding cand must not create
-    # x = 2y - z (mod N) in any role.  The modulus here is odd (a power of
-    # three), so duplicated residues are the only degenerate case and are
-    # rejected up front.
-    cr = cand % modulus
-    if cr in residues:
-        return False
-    for y in chosen:
-        if (2 * y - cand) % modulus in residues:
-            return False
-        if (2 * cand - y) % modulus in residues:
-            return False
-    for y in chosen:
-        for z in chosen:
-            if (2 * y - z) % modulus == cr:
-                return False
-    return True
+def _admit(open_: bytearray, chosen: Sequence[int], y: int, modulus: int) -> bytearray:
+    # The open-residue bitmap once a legal y joins chosen: y closes its own
+    # residue and, for each chosen z, 2y - z, 2z - y and (y + z)/2, where
+    # halving modulo the odd N is multiplying by (N + 1)/2.
+    out = bytearray(open_)
+    half = (modulus + 1) // 2
+    out[y % modulus] = 0
+    for z in chosen:
+        out[(2 * y - z) % modulus] = 0
+        out[(2 * z - y) % modulus] = 0
+        out[(y + z) * half % modulus] = 0
+    return out
+
+
+def _open_residues(chosen: Sequence[int], modulus: int) -> bytearray:
+    # The bitmap of a progression-free chosen, admitted one at a time.
+    open_ = bytearray(b"\x01") * modulus
+    for i, y in enumerate(chosen):
+        open_ = _admit(open_, chosen[:i], y, modulus)
+    return open_
 
 
 def _covers(chosen: Sequence[int], modulus: int) -> bool:
@@ -316,38 +324,57 @@ def _covers(chosen: Sequence[int], modulus: int) -> bool:
 
 
 def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
-    prefix, modulus, size, max_element, node_cap = args
+    # All sets below one prefix and the nodes they took (see
+    # search_near_modular); more than budget - spent nodes raises.
+    prefix, modulus, size, max_element, budget, spent = args
+    node_cap = budget - spent
     chosen = list(prefix)
-    residues = {v % modulus for v in chosen}
+    # Bitmaps are tiled before the candidate scan so values index them.
+    reps = max_element // modulus + 1
+    last = max_element % modulus
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def rec(start: int) -> None:
+    def count(more: int) -> None:
         nonlocal nodes
-        slots_left = size - 1 - len(chosen)  # middle slots still to fill
-        if slots_left == 0:
-            nodes += 1
-            if nodes > node_cap:
-                raise BudgetExceededError(f"node budget exceeded ({node_cap})")
-            if not _extension_ok(chosen, residues, max_element, modulus):
-                return
-            full = chosen + [max_element]
+        nodes += more
+        if nodes > node_cap:
+            raise BudgetExceededError(f"node budget exceeded ({budget})")
+
+    def rec(open_: bytearray, slots_left: int) -> None:
+        # slots_left >= 1 middle slots still to fill.
+        start = chosen[-1] + 1
+        stop = max_element - slots_left + 1
+        if stop <= start:
+            return
+        tiled = open_ * reps
+        if slots_left > 1:
+            count(stop - start)
+            for cand in itertools.compress(range(start, stop), tiled[start:stop]):
+                child = _admit(open_, chosen, cand, modulus)
+                chosen.append(cand)
+                rec(child, slots_left - 1)
+                chosen.pop()
+            return
+        # Last middle slot: a legal candidate must also leave max_element
+        # legal, so it is read from the bitmap with max_element admitted.
+        count(stop - start + tiled.count(1, start, stop))
+        if not open_[last]:
+            return
+        with_max = _admit(open_, chosen, max_element, modulus) * reps
+        for cand in itertools.compress(range(start, stop), with_max[start:stop]):
+            full = chosen + [cand, max_element]
             if _covers(full, modulus):
                 found.append(tuple(full))
-            return
-        for cand in range(start, max_element - slots_left + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise BudgetExceededError(f"node budget exceeded ({node_cap})")
-            if not _extension_ok(chosen, residues, cand, modulus):
-                continue
-            chosen.append(cand)
-            residues.add(cand % modulus)
-            rec(cand + 1)
-            chosen.pop()
-            residues.remove(cand % modulus)
 
-    rec(prefix[-1] + 1)
+    open_ = _open_residues(chosen, modulus)
+    if len(chosen) < size - 1:
+        rec(open_, size - 1 - len(chosen))
+    else:  # the prefix fills every middle slot: one leaf check
+        count(1)
+        full = chosen + [max_element]
+        if open_[last] and _covers(full, modulus):
+            found.append(tuple(full))
     return found, nodes
 
 
@@ -372,12 +399,20 @@ def search_near_modular(
 
     Backtracking over ascending elements with 0 forced first and
     ``max_element`` forced last; partial progressions modulo N are pruned
-    as they appear.  Results come back sorted and duplicate-free, and are
-    identical for every worker count: the tree splits at fixed depth-2
-    prefixes, branches are independent, and branch results are merged in
-    prefix order.  No more processes start than there are prefixes or
-    usable CPUs.  ``first_only`` stops at the lexicographically first hit.
-    Exceeding ``budget`` raises BudgetExceededError.
+    as they appear: a candidate is legal when its residue is outside
+    {2a - b, (a + b)/2 mod N : a, b chosen}, read from a bitmap of open
+    residues.  A candidate for the last middle slot must also leave
+    ``max_element`` legal; every full set is then checked for coverage.
+    Results come back sorted and duplicate-free, and are identical for
+    every worker count: the tree splits at fixed depth-2 prefixes,
+    branches are independent, and branch results are merged in prefix
+    order.  No more processes start than there are prefixes or usable
+    CPUs.  ``first_only`` stops at the lexicographically first hit.
+
+    A node is one candidate examined, plus one leaf check for each legal
+    candidate for the last middle slot.  More than ``budget`` nodes raises
+    BudgetExceededError; a serial search stops at the budget, while pool
+    workers each run to it before the total is checked.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -393,33 +428,33 @@ def search_near_modular(
     # Depth-2 prefix split: fix the two smallest middle elements.
     prefixes: list[tuple[int, int, int]] = []
     nodes_used = 0
+    open0 = _open_residues((0,), modulus)
     for v1 in range(1, max_element - (size - 3)):
         nodes_used += 1
-        if not _extension_ok([0], {0}, v1, modulus):
+        if not open0[v1 % modulus]:
             continue
-        res1 = {0, v1 % modulus}
+        open1 = _admit(open0, (0,), v1, modulus)
         for v2 in range(v1 + 1, max_element - (size - 4)):
             nodes_used += 1
-            if _extension_ok([0, v1], res1, v2, modulus):
+            if open1[v2 % modulus]:
                 prefixes.append((0, v1, v2))
     if nodes_used > budget:
         raise BudgetExceededError(f"node budget exceeded ({budget})")
 
-    jobs = [(p, modulus, size, max_element, budget) for p in prefixes]
-    workers = _worker_count(workers, len(jobs))
+    workers = _worker_count(workers, len(prefixes))
     results: list[tuple[int, ...]] = []
 
     if workers == 1 or first_only:
-        for job in jobs:
-            found, nodes = _branch_search(job)
+        # Each branch may spend only what the earlier ones left.
+        for p in prefixes:
+            found, nodes = _branch_search((p, modulus, size, max_element, budget, nodes_used))
             nodes_used += nodes
-            if nodes_used > budget:
-                raise BudgetExceededError(f"node budget exceeded ({budget})")
             results.extend(found)
             if first_only and results:
                 results = [min(results)]
                 break
     else:
+        jobs = [(p, modulus, size, max_element, budget, 0) for p in prefixes]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for found, nodes in pool.map(_branch_search, jobs, chunksize=1):
                 nodes_used += nodes

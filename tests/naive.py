@@ -89,6 +89,83 @@ def naive_search(ell, max_element):
     return found
 
 
+def naive_extension_ok(chosen, cand, modulus):
+    """Adding cand to chosen makes no x = 2y - z (mod N), pair by pair."""
+    residues = {v % modulus for v in chosen}
+    if cand % modulus in residues:
+        return False
+    for y in chosen:
+        if (2 * y - cand) % modulus in residues:
+            return False
+        if (2 * cand - y) % modulus in residues:
+            return False
+    for y in chosen:
+        for z in chosen:
+            if (2 * y - z) % modulus == cand % modulus:
+                return False
+    return True
+
+
+def naive_branch_search(prefix, modulus, size, max_element):
+    """(sets, nodes) below one search prefix, checking each candidate anew.
+
+    A node is one candidate examined, and one leaf check each time the
+    middle slots are all filled; a set counts when its residues 2y - z,
+    y >= z, reach every class.
+    """
+    chosen = list(prefix)
+    found = []
+    nodes = 0
+
+    def rec(start):
+        nonlocal nodes
+        slots_left = size - 1 - len(chosen)
+        if slots_left == 0:
+            nodes += 1
+            full = chosen + [max_element]
+            if naive_extension_ok(chosen, max_element, modulus) and len(
+                {(2 * y - z) % modulus for y in full for z in full if y >= z}
+            ) == modulus:
+                found.append(tuple(full))
+            return
+        for cand in range(start, max_element - slots_left + 1):
+            nodes += 1
+            if naive_extension_ok(chosen, cand, modulus):
+                chosen.append(cand)
+                rec(cand + 1)
+                chosen.pop()
+
+    rec(chosen[-1] + 1)
+    return found, nodes
+
+
+def naive_search_prefixes(ell, max_element):
+    """(depth-2 prefixes (0, v1, v2), nodes spent finding them)."""
+    modulus = 3 ** (ell + 1)
+    size = 2 ** (ell + 1)
+    prefixes = []
+    nodes = 0
+    for v1 in range(1, max_element - (size - 3)):
+        nodes += 1
+        if not naive_extension_ok([0], v1, modulus):
+            continue
+        for v2 in range(v1 + 1, max_element - (size - 4)):
+            nodes += 1
+            if naive_extension_ok([0, v1], v2, modulus):
+                prefixes.append((0, v1, v2))
+    return prefixes, nodes
+
+
+def naive_search_nodes(ell, max_element):
+    """Every node a full search with these bounds examines."""
+    modulus = 3 ** (ell + 1)
+    size = 2 ** (ell + 1)
+    prefixes, nodes = naive_search_prefixes(ell, max_element)
+    for prefix in prefixes:
+        nodes += naive_branch_search(prefix, modulus, size, max_element)[1]
+    return nodes
+
+
 def naive_character_level(terms, k):
     """Boundary value 2*a_{2^k-1} - a_{2^k} + 1 straight from the terms."""
     return 2 * terms[2**k - 1] - terms[2**k] + 1

@@ -1,7 +1,12 @@
 """CLI contract: exit codes, formats, schemas, env budget, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -318,3 +323,33 @@ def test_argparse_requires_seed():
 def test_positivity_validation(capsys):
     code, _, err = run_cli(capsys, "gen", "--seed", "0", "--count", "-3")
     assert code == EXIT_INPUT and "positive" in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_closed_stdout_exits_zero_quietly(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["gen", "--seed", "0,1,13", "--count", "50", "--format", fmt])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("count", [5, 3000])
+def test_entry_with_closed_reader_exits_zero_quietly(count):
+    # A pipe whose reader is already gone: 5 terms stay in the buffer
+    # until the final flush, 3000 overflow it inside main.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stanley.cli", "gen", "--seed", "0", "--count", str(count)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")

@@ -31,10 +31,13 @@ from stanley import (
 from stanley import characters, core, modsets
 
 from .naive import (
+    naive_branch_search,
     naive_first_violation,
     naive_is_modular,
     naive_is_near_modular,
     naive_search,
+    naive_search_nodes,
+    naive_search_prefixes,
 )
 
 
@@ -157,7 +160,7 @@ def test_search_recovers_known_sets():
     assert family_set(2, "A") in found18
 
 
-@pytest.mark.parametrize("max_element", [6, 9, 12])
+@pytest.mark.parametrize("max_element", range(3, 37))
 def test_search_matches_naive(max_element):
     got = [s.elements for s in search_near_modular(1, max_element)]
     assert got == naive_search(1, max_element)
@@ -217,6 +220,70 @@ def test_search_first_only():
 def test_search_budget_enforced():
     with pytest.raises(BudgetExceededError):
         search_near_modular(2, 18, budget=50)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_branch_search_matches_oracle(data):
+    # Same sets and the same node count, branch by branch, as re-checking
+    # every pair for every candidate.
+    ell = data.draw(st.sampled_from([1, 2]), label="ell")
+    modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
+    max_element = data.draw(st.integers(size - 1, 36), label="max_element")
+    prefixes, _ = naive_search_prefixes(ell, max_element)
+    if not prefixes:
+        return
+    prefix = data.draw(st.sampled_from(prefixes), label="prefix")
+    want = naive_branch_search(prefix, modulus, size, max_element)
+    nodes = want[1]
+    # A branch may spend budget - spent nodes and not one more.
+    job = (prefix, modulus, size, max_element, nodes + 1, 1)
+    assert modsets._branch_search(job) == want
+    with pytest.raises(BudgetExceededError):
+        modsets._branch_search(job[:4] + (nodes, 1))
+
+
+@pytest.mark.parametrize("ell, max_element", [(1, 7), (1, 35), (2, 18), (2, 36)])
+def test_only_progression_free_sets_reach_coverage(ell, max_element):
+    # Coverage alone passes some sets with a progression through
+    # max_element, e.g. (0, 2, 6, 7) mod 9, so the last candidate must be
+    # filtered before it.
+    modulus = 3 ** (ell + 1)
+    with mock.patch.object(modsets, "_covers", wraps=modsets._covers) as covers:
+        search_near_modular(ell, max_element)
+    assert covers.call_count
+    for call in covers.call_args_list:
+        full = call.args[0]
+        assert all((x - 2 * y + z) % modulus or x == y == z
+                   for x in full for y in full for z in full), full
+
+
+@pytest.mark.parametrize("ell, max_element", [(2, 18), (1, 12)])
+def test_search_budget_threshold_is_exact(ell, max_element):
+    total = naive_search_nodes(ell, max_element)
+    assert search_near_modular(ell, max_element, budget=total)
+    with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
+        search_near_modular(ell, max_element, budget=total - 1)
+
+
+def test_serial_branches_share_one_budget(monkeypatch):
+    # Each serial branch is capped at what the prefix split and the
+    # earlier branches left of the budget.
+    seen = []
+    branch = modsets._branch_search
+
+    def spy(args):
+        found, nodes = branch(args)
+        seen.append((args[4], args[5], nodes))
+        return found, nodes
+
+    monkeypatch.setattr(modsets, "_branch_search", spy)
+    search_near_modular(2, 18, budget=10**6)
+    prefixes, spent = naive_search_prefixes(2, 18)
+    assert len(seen) == len(prefixes)
+    for budget, given, nodes in seen:
+        assert (budget, given) == (10**6, spent)
+        spent += nodes
 
 
 def test_search_degenerate_bounds():
