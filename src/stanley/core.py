@@ -7,16 +7,20 @@ x + z = 2y) together with two earlier terms.  Because candidates are
 always larger than everything chosen so far, a candidate only ever needs
 to be tested as the *largest* element of a progression.
 
-The generator keeps a byte-per-value sieve of blocked values: whenever a
-term t is appended, every value 2*t - x for earlier terms x becomes
-forever inadmissible.  Because terms increase, the earlier terms whose
-marks land inside the sieve form one slice, so appending is one
-vectorized scatter per term and candidate scanning is a chunked argmin
-over the sieve: generating n terms costs O(n^2) sieve writes with small
-constants.  The sieve grows fourfold when a term-count bound is requested
-and the final value is not known in advance.  A regrowth copies the old
-marks and writes only the marks the old sieve dropped, those at or above
-its capacity, so no pair is ever marked twice.
+The generator keeps a byte-per-value sieve of blocked values over a
+window [base, base + size) that slides upward: whenever a term t is
+appended, every value 2*t - x for earlier terms x becomes forever
+inadmissible, and the marks that land inside the window are written.
+Because terms increase, the earlier terms whose marks land inside the
+window form one slice, so appending is one vectorized scatter per term
+and candidate scanning is a chunked argmin over the window: generating n
+terms costs O(n^2) sieve writes with small constants.  When the window
+holds no free value, it moves on past its top, is cleared, and takes the
+marks of every pair x < y that lands in it.  No mark is written past the
+window, so marks above the final term stop at the last window's top, and
+no mark is written twice.  Memory is O(window + n) whatever the values:
+a window never holds more than _WINDOW bytes, and a term-count run starts
+with a smaller one sized from the expected growth.
 
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
@@ -39,6 +43,11 @@ from .errors import InvalidSeedError, OverflowLimitError
 VALUE_CAP = 2**62
 
 _SCAN_CHUNK = 8192
+
+# Values per sieve window, one byte each.  2**20 and 2**24 generate 2**14
+# to 2**15 terms 10-30% slower than 2**21 or 2**22: small windows slide
+# often, each slide a Python loop over terms; large ones leave the L2.
+_WINDOW = 1 << 22
 
 # Row blocks of pair tables hold about this many cells (8 bytes each).
 _BLOCK_CELLS = 1 << 19
@@ -179,38 +188,30 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
 
 
 def _capacity_guess(count: int, last: int) -> int:
-    # First sieve size under a term-count bound: a growth-law guess (a_n is
-    # roughly n**log2(3) for the tamest seeds, far larger for chaotic ones).
-    # Underestimates regrow geometrically.
+    # First window size under a term-count bound: a growth-law guess (a_n is
+    # roughly n**log2(3) for the tamest seeds, far larger for chaotic ones),
+    # so a short run keeps a small sieve.
     return int(2 * count ** 1.585) + 4 * last + 256
 
 
 def _mark(blocked: np.ndarray, twice: int, xs: np.ndarray, buf: np.ndarray) -> None:
-    # Block twice - x for every x in xs; every mark must lie in the sieve.
-    # ``buf`` is int64 scratch at least as long as xs.
+    # Block index twice - x for every x in xs; every mark must lie in the
+    # window.  ``buf`` is int64 scratch at least as long as xs.
     marks = buf[: len(xs)]
     np.subtract(twice, xs, out=marks)
     blocked[marks] = True
 
 
-def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, floor: int, buf: np.ndarray) -> None:
+def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, base: int, buf: np.ndarray) -> None:
     # Block 2y - x for the pairs x < y of the increasing ``terms`` whose
-    # mark lies in [floor, len(blocked)).  For each y these x form one
-    # slice: marks past the sieve come from its low end, marks below floor
-    # (already in a regrown sieve) from its high end.
+    # mark lies in the window [base, base + len(blocked)).  For each y these
+    # x form one slice: marks past the window come from its low end, marks
+    # below it from its high end.
     twice = 2 * terms
-    lo = np.searchsorted(terms, twice - len(blocked), "right")
-    hi = np.minimum(np.searchsorted(terms, twice - floor, "right"), np.arange(len(terms)))
+    lo = np.searchsorted(terms, twice - (base + len(blocked)), "right")
+    hi = np.minimum(np.searchsorted(terms, twice - base, "right"), np.arange(len(terms)))
     for j in np.flatnonzero(lo < hi):
-        _mark(blocked, twice[j], terms[lo[j] : hi[j]], buf)
-
-
-def _grow(blocked: np.ndarray) -> np.ndarray:
-    # A sieve four times as long holding the same marks.  The caller drops
-    # the old sieve on assignment, before the dropped marks are written.
-    grown = np.zeros(4 * len(blocked), dtype=bool)
-    grown[: len(blocked)] = blocked
-    return grown
+        _mark(blocked, twice[j] - base, terms[lo[j] : hi[j]], buf)
 
 
 def _next_free(blocked: np.ndarray, start: int, stop: int) -> int:
@@ -246,50 +247,57 @@ def generate(
         raise ValueError(f"limit {limit} is below max(seed) = {seed_t[-1]}")
     if limit is not None and limit >= VALUE_CAP:
         raise OverflowLimitError(f"limit {limit} exceeds value cap")
+    return _extend(seed_t, count, limit)
 
-    if count is not None and count == len(seed_t):
-        return GreedySequence(seed_t, seed_t, count, limit)
 
-    # Sieve capacity: exact when a value limit exists, a guess otherwise.
-    cap = limit + 2 if limit is not None else _capacity_guess(count, seed_t[-1])
-    if cap >= VALUE_CAP:
-        raise OverflowLimitError("required sieve capacity leaves the 64-bit range")
-
+def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> GreedySequence:
+    # The sieve loop of generate.  ``seed_t`` must be increasing, start at
+    # 0 and be free of 3-APs; the bounds must pass generate's checks.
+    # Callers that hold a verified cover skip generate's re-validation.
     terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
     terms_buf[: len(seed_t)] = seed_t
     buf = np.empty_like(terms_buf)
     k = len(seed_t)
 
-    blocked = np.zeros(cap, dtype=bool)
-    _mark_pairs(blocked, terms_buf[:k], 0, buf)
-
-    last = seed_t[-1]
-    while True:
-        if count is not None and k >= count:
-            break
-        scan_stop = cap if limit is None else min(cap, limit + 1)
-        c = _next_free(blocked, last + 1, scan_stop)
-        if c < 0:
-            if limit is not None and scan_stop == limit + 1:
-                break  # value bound exhausted
-            if 4 * cap >= VALUE_CAP:
-                raise OverflowLimitError("sieve capacity left the 64-bit range")
-            blocked = _grow(blocked)
-            _mark_pairs(blocked, terms_buf[:k], cap, buf)
-            cap = len(blocked)
-            continue
-        if c >= VALUE_CAP // 2:
-            raise OverflowLimitError("term value left the 64-bit range")
-        if k == len(terms_buf):
-            terms_buf = np.concatenate([terms_buf, np.zeros(len(terms_buf), np.int64)])
-            buf = np.empty_like(terms_buf)
-        terms_buf[k] = c
-        # Every mark 2c - x fits unless 2c reaches the sieve's end; then the
-        # x at or below 2c - cap, a prefix, are cut off.
-        lo = 0 if 2 * c < cap else int(np.searchsorted(terms_buf[:k], 2 * c - cap, "right"))
-        _mark(blocked, 2 * c, terms_buf[lo:k], buf)
-        k += 1
-        last = c
+    # The window covers the values [base, base + size).  Marks at or below
+    # the last term are never read, so it starts just above the seed.
+    base = seed_t[-1] + 1
+    size = min(_WINDOW, _capacity_guess(count, seed_t[-1]) if limit is None else limit + 1 - base)
+    blocked = np.zeros(0, dtype=bool)
+    while count is None or k < count:
+        if base + size >= VALUE_CAP:
+            raise OverflowLimitError("sieve window left the 64-bit range")
+        if size <= len(blocked):
+            blocked = blocked[:size]
+            blocked.fill(False)
+        else:
+            blocked = np.zeros(size, dtype=bool)
+        # No mark at or past the window's top was ever written, so every
+        # pair landing in it is marked here.
+        _mark_pairs(blocked, terms_buf[:k], base, buf)
+        top = base + size
+        idx = _next_free(blocked, 0, size)
+        while idx >= 0:
+            c = base + idx
+            if c >= VALUE_CAP // 2:
+                raise OverflowLimitError("term value left the 64-bit range")
+            if k == len(terms_buf):
+                terms_buf = np.concatenate([terms_buf, np.zeros(len(terms_buf), np.int64)])
+                buf = np.empty_like(terms_buf)
+            terms_buf[k] = c
+            # Every mark 2c - x lies above c; those at or past the top come
+            # from the x at or below 2c - top, a prefix, which is cut off.
+            lo = 0 if 2 * c < top else int(np.searchsorted(terms_buf[:k], 2 * c - top, "right"))
+            _mark(blocked, 2 * c - base, terms_buf[lo:k], buf)
+            k += 1
+            if count is not None and k >= count:
+                break
+            idx = _next_free(blocked, idx + 1, size)
+        if limit is not None and top > limit:
+            break  # value bound exhausted
+        # Slide the window on past its top.
+        base = top
+        size = _WINDOW if limit is None else min(_WINDOW, limit + 1 - base)
 
     terms = tuple(int(v) for v in terms_buf[:k])
     return GreedySequence(seed_t, terms, count, limit)

@@ -425,21 +425,24 @@ def search_near_modular(
     if max_element < size - 1:
         return []
 
-    # Depth-2 prefix split: fix the two smallest middle elements.
+    # Depth-2 prefix split: fix the two smallest middle elements.  Each v1
+    # row adds its candidates in one step; counts only rise, so raising as
+    # soon as they pass the budget raises exactly when the total would.
     prefixes: list[tuple[int, int, int]] = []
     nodes_used = 0
     open0 = _open_residues((0,), modulus)
-    for v1 in range(1, max_element - (size - 3)):
-        nodes_used += 1
-        if not open0[v1 % modulus]:
+    stop = max_element - (size - 4)
+    for v1 in range(1, stop - 1):
+        row = stop - v1 - 1 if open0[v1 % modulus] else 0
+        nodes_used += 1 + row
+        if nodes_used > budget:
+            raise BudgetExceededError(f"node budget exceeded ({budget})")
+        if not row:
             continue
         open1 = _admit(open0, (0,), v1, modulus)
-        for v2 in range(v1 + 1, max_element - (size - 4)):
-            nodes_used += 1
+        for v2 in range(v1 + 1, stop):
             if open1[v2 % modulus]:
                 prefixes.append((0, v1, v2))
-    if nodes_used > budget:
-        raise BudgetExceededError(f"node budget exceeded ({budget})")
 
     workers = _worker_count(workers, len(prefixes))
     results: list[tuple[int, ...]] = []

@@ -1,5 +1,6 @@
 """Planner, realization cross-check, residue coverage, exploration."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,8 @@ from stanley import (
     verify_modular,
     verify_plan,
 )
+from stanley import core
+from stanley.cli import main
 
 
 def _v3(n):
@@ -157,6 +160,18 @@ def test_verify_plan_depth_adapts_to_cover():
     cert = verify_plan(plan, depth=6)
     assert cert.verified_depth == 7
     assert cert.character == 1540
+
+
+@pytest.mark.parametrize("lam", [8, 1540])
+def test_verified_cover_is_not_revalidated(monkeypatch, capsys, lam):
+    # plan_seed has just verified the cover as modular, so neither
+    # verify_plan nor the character command runs has_3ap on it again.
+    calls = []
+    monkeypatch.setattr(core, "has_3ap", lambda elements: calls.append(elements))
+    assert verify_plan(plan_character(lam)).character == lam
+    assert main(["character", "--lambda", str(lam), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["character"] == lam
+    assert calls == []
 
 
 def test_verify_plan_depth_validation():

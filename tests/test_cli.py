@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from stanley.cli import (
     EXIT_RESOURCE,
     main,
 )
+
+from .naive import naive_stanley
 
 
 def run_cli(capsys, *argv):
@@ -82,16 +85,30 @@ def test_gen_overflow_is_resource_exit(capsys):
 
 @pytest.mark.parametrize("message", ["Unable to allocate 37.3 GiB", ""], ids=["numpy", "bare"])
 def test_memory_error_is_resource_exit(capsys, monkeypatch, message):
-    # The seed 0,10**10 asks for a 40 GB sieve; the allocation failure is
-    # simulated, never made.
+    # A huge --count asks for a terms buffer of that many int64 values; the
+    # allocation failure is simulated, never made.
     def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr(core, "generate", out_of_memory)
-    code, out, err = run_cli(capsys, "gen", "--seed", "0,10000000000", "--count", "3")
+    code, out, err = run_cli(capsys, "gen", "--seed", "0", "--count", "1000000000000")
     assert code == EXIT_RESOURCE and out == ""
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert message in err
+
+
+def test_gen_huge_seed_value_needs_one_window(capsys):
+    # Memory follows the window, not the values: the seed 0,10**10 once
+    # asked for a 37 GiB sieve.
+    tracemalloc.start()
+    try:
+        code, payload, _ = run_json(capsys, "gen", "--seed", "0,10000000000", "--count", "20")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert payload["terms"] == naive_stanley([0, 10**10], 20)
+    assert peak < core._WINDOW + 2**20
 
 
 def test_analyze_independent(capsys):

@@ -109,39 +109,41 @@ def test_count_equal_to_seed_returns_seed():
     assert generate([0, 1, 7], count=3).terms == (0, 1, 7)
 
 
-@pytest.mark.parametrize("first", [1, 16, 45])
-def test_regrowth_keeps_marks(monkeypatch, first):
-    # A tiny first sieve forces several fourfold regrowths.  Each copies the
-    # old marks and writes only the marks the old sieve dropped, so a lost
-    # or misplaced mark shows up as a wrong term.  Seeds reaching past half
-    # the first sieve have their own marks cut as well.
-    grown = []
-    real_grow = core._grow
+@pytest.mark.parametrize("window", [1, 16, 45])
+def test_window_slides_keep_marks(monkeypatch, window):
+    # A tiny window slides many times.  Each slide clears it and marks every
+    # pair landing in it, so a lost or misplaced mark shows up as a wrong
+    # term.  Seeds reaching past the first window have their own marks cut
+    # at its top as well.
+    calls = []
+    real_mark_pairs = core._mark_pairs
 
-    def spy(blocked):
-        grown.append(len(blocked))
-        return real_grow(blocked)
+    def spy(blocked, terms, base, buf):
+        calls.append(base)
+        return real_mark_pairs(blocked, terms, base, buf)
 
-    monkeypatch.setattr(core, "_capacity_guess", lambda count, last: first)
-    monkeypatch.setattr(core, "_grow", spy)
+    monkeypatch.setattr(core, "_WINDOW", window)
+    monkeypatch.setattr(core, "_mark_pairs", spy)
     seeds = ([0], [0, 4], [0, 1, 7], [0, 7, 11], [0, 1, 13], [0, 13, 14],
              [0, 3, 5, 15], [0, 9, 11, 17])
     for seed in seeds:
-        grown.clear()
-        seq = generate(seed, count=200)
-        assert len(grown) >= 2
-        assert list(seq.terms) == naive_stanley(seed, 200)
-        # same answer from an exact-size sieve that never regrows
-        assert generate(seed, limit=seq.terms[-1]).terms == seq.terms
+        want = naive_stanley(seed, 200)
+        # Limit mode first: it stops at the limit even if marks go stale.
+        assert list(generate(seed, limit=want[-1]).terms) == want
+        calls.clear()
+        assert list(generate(seed, count=200).terms) == want
+        assert len(calls) >= 3  # the first window and at least two slides
 
 
-@given(ap_free_seeds(), st.integers(0, 400))
-@settings(max_examples=60, deadline=None)
-def test_limit_mode_matches_naive_oracle(seed, headroom):
-    # The sieve holds limit + 2 values, so every term above limit / 2 (and
-    # the seed, when it reaches that far) cuts the low end of its slice.
+@given(ap_free_seeds(), st.integers(0, 400), st.sampled_from([core._WINDOW, 1, 7, 45]))
+@settings(max_examples=100, deadline=None)
+def test_limit_mode_matches_naive_oracle(seed, headroom, window):
+    # The window's top is limit + 1 or below, so every term above half the
+    # top (and the seed, when it reaches that far) cuts the low end of its
+    # slice; tiny windows slide as well.
     limit = seed[-1] + headroom
-    got = list(generate(seed, limit=limit).terms)
+    with mock.patch.object(core, "_WINDOW", window):
+        got = list(generate(seed, limit=limit).terms)
     assert got == [t for t in naive_stanley(seed, len(got) + 1) if t <= limit]
 
 
@@ -270,6 +272,9 @@ def test_overflow_guard():
         generate([0, big], count=5)
     with pytest.raises(OverflowLimitError):
         generate([0], limit=2**62)
+    # A seed this close to the cap leaves no room for a window above it.
+    with pytest.raises(OverflowLimitError, match="64-bit"):
+        generate([0, 2**62 - 5], count=5)
 
 
 def test_minimal_generating_prefix():

@@ -222,6 +222,22 @@ def test_search_budget_enforced():
         search_near_modular(2, 18, budget=50)
 
 
+def test_prefix_split_stops_at_the_budget(monkeypatch):
+    # The first v1 row alone holds thousands of prefix nodes, so a budget
+    # of 5 raises before a second row is admitted.
+    admitted = []
+    admit = modsets._admit
+
+    def spy(open_, chosen, y, modulus):
+        admitted.append(y)
+        return admit(open_, chosen, y, modulus)
+
+    monkeypatch.setattr(modsets, "_admit", spy)
+    with pytest.raises(BudgetExceededError, match=r"\(5\)"):
+        search_near_modular(1, 3000, budget=5)
+    assert len(admitted) <= 1
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_branch_search_matches_oracle(data):
