@@ -82,7 +82,6 @@ from .errors import (
     BudgetExceededError,
     DuplicateSumError,
     InsufficientTermsError,
-    InvalidBasisError,
     InvalidSeedError,
     InvalidSystemError,
     NotModularError,
@@ -118,7 +117,6 @@ __all__ = [
     "IndependenceCertificate",
     "IndependenceReport",
     "InsufficientTermsError",
-    "InvalidBasisError",
     "InvalidSeedError",
     "InvalidSystemError",
     "ModSetReport",

@@ -187,11 +187,13 @@ def compose_system(
     """Validate and assemble a composed system.
 
     ``head`` lists explicit leading basis elements; the tail continues
-    with exact powers 3**(k + ell).  Raises InvalidSystemError on a
-    cardinality or valuation failure, or when A is not near-modular.
+    with exact powers 3**(k + ell).  With ell = 0 and A = (0,) the
+    composition is the plain subset-sum expansion of Basis(head).  Raises
+    InvalidSystemError on a cardinality or valuation failure, or when A
+    is not near-modular.
     """
-    if ell < 1:
-        raise InvalidSystemError("ell must be at least 1")
+    if ell < 0:
+        raise InvalidSystemError("ell must be nonnegative")
     elements = tuple(sorted(int(v) for v in a_set))
     if len(elements) != 2**ell:
         raise InvalidSystemError(

@@ -7,18 +7,21 @@ realized by one of two recipes, split on lam mod 6:
   3 not dividing l_i, and sum of 2*(b_i - 3**i) equal to lam.  The head is
   found by a digit-by-digit search over the multipliers l_i in
   {1, 2, 4, 5, 7, 8} with base-3 carries, returning the lexicographically
-  smallest head.  The subset-sum expansion of that basis is the realized
-  sequence.
+  smallest head.
 
 * lam = 4 (mod 6): a family recipe.  Writing lam - 1 = q * 3**i with
   3 not dividing q forces a unique index i, side (A for q = 1 mod 6, B for
   q = 5 mod 6), and shift j with lam = (1 or 5)*3**i + 1 + 2*j*3**(i+1).
-  Index 5 and up is exactly the class lam = 244 (mod 486), which this
-  table does not cover.  The realized sequence is the composition of the
-  shifted family set with the all-powers tail basis.
+  Indices past the family table are exactly the class lam = 244
+  (mod 486), which this construction does not cover.
 
-Both recipes are cross-checked against the greedy generator itself: the
-realization is reproduced term by term from a finite modular cover, then
+Either recipe becomes a composed system (basis.compose_system) in one
+place.  A family recipe pairs the shifted family set with the all-powers
+tail basis; a basis recipe is the degenerate system A = {0}, ell = 0,
+whose composition is the subset-sum expansion of the head and powers.
+modularize gives every plan its finite modular cover and compose its
+realization.  Each plan is cross-checked against the greedy generator
+itself: the realization is reproduced term by term from the cover, then
 re-analyzed for independence, and the certificate's character must equal
 the target exactly.
 """
@@ -36,11 +39,13 @@ from .basis import Basis, ComposedSystem, _v3, compose, compose_system, expand_b
 from .errors import (
     BudgetExceededError,
     DuplicateSumError,
-    NotModularError,
+    InvalidSeedError,
     NotRealizableError,
     PlanVerificationError,
 )
-from .modsets import NearModularSet, _worker_count, family_modulus, family_set, verify_modular
+from .modsets import FAMILY_INDICES, NearModularSet, _worker_count, family_set
+# Unused here; perfbench/tests/test_perfbench.py asserts this name is modsets' function.
+from .modsets import verify_modular  # noqa: F401
 
 EXCLUDED_MODULUS = 486
 EXCLUDED_RESIDUE = 244
@@ -103,7 +108,7 @@ def _family_parts(target: int) -> tuple[int, str, int]:
     # target = 4 (mod 6): target - 1 = q * 3**i with q coprime to 3 and
     # odd, so q = 1 or 5 (mod 6) picks the side and j pays the rest.
     i = _v3(target - 1)
-    if i > 4:
+    if i > max(FAMILY_INDICES):
         raise NotRealizableError(
             f"{target} = 244 (mod 486) is not covered by this construction",
             reason="residue-244",
@@ -156,51 +161,23 @@ def _check_emitted_head(plan: CharacterPlan) -> None:
         )
 
 
-def _family_system(recipe: FamilyRecipe) -> ComposedSystem:
-    elements = family_set(recipe.index, recipe.side, recipe.shift)
-    return compose_system(elements, ell=recipe.index + 1)
-
-
-def _dominance_boundary(head: tuple[int, ...]) -> int:
-    # Least M with 3**(M+1) strictly above the sum of b_0..b_M, where the
-    # basis continues in exact powers past the head.  Everything below
-    # that boundary forms the modular cover of the expansion.
-    m = len(head) - 1
-    total = sum(head)
-    while 3 ** (m + 1) <= total:
-        m += 1
-        total += 3**m
-    return m
+def _system(recipe: Union[BasisRecipe, FamilyRecipe]) -> ComposedSystem:
+    # The one place a recipe becomes a composed system.  A basis head is
+    # the degenerate system A = {0}, ell = 0: near-modular mod 3**0 = 1.
+    if isinstance(recipe, FamilyRecipe):
+        elements = family_set(recipe.index, recipe.side, recipe.shift)
+        return compose_system(elements, ell=recipe.index + 1)
+    return compose_system((0,), ell=0, head=recipe.head)
 
 
 def plan_seed(plan: CharacterPlan) -> NearModularSet:
     """Finite modular cover of the plan's realization.
 
-    For a family recipe this is modularize of the composed system.  For a
-    basis recipe it is the set of subset sums below the dominance
-    boundary, verified modular with respect to the matching power of
-    three.  Either way the cover regenerates the full realization
-    greedily, which verify_plan checks term by term.
+    This is modularize of the plan's composed system.  The cover
+    regenerates the full realization greedily, which verify_plan checks
+    term by term.
     """
-    if isinstance(plan.recipe, FamilyRecipe):
-        return modularize(_family_system(plan.recipe))
-    head = plan.recipe.head
-    boundary = _dominance_boundary(head)
-    sums = [0]
-    for k in range(boundary + 1):
-        b = head[k] if k < len(head) else 3**k
-        sums = [s + d for s in sums for d in (0, b)]
-    values = sorted(sums)
-    modulus = 3 ** (boundary + 1)
-    if len(set(values)) != len(values):
-        raise DuplicateSumError("cover produced a repeated value")
-    report = verify_modular(values, modulus)
-    if report.verdict != "modular":
-        raise NotModularError(
-            f"basis cover fails modularity at {modulus}: {report.violation}",
-            report=report,
-        )
-    return NearModularSet(tuple(values), modulus, "modular")
+    return modularize(_system(plan.recipe))
 
 
 def realize_plan(
@@ -209,9 +186,7 @@ def realize_plan(
     limit: int | None = None,
 ) -> list[int]:
     """Terms of the sequence the plan promises, up to a bound."""
-    if isinstance(plan.recipe, FamilyRecipe):
-        return compose(_family_system(plan.recipe), count=count, limit=limit)
-    return expand_basis(Basis(plan.recipe.head), count=count, limit=limit)
+    return compose(_system(plan.recipe), count=count, limit=limit)
 
 
 def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCertificate:
@@ -289,9 +264,11 @@ def residue_coverage(modulus: int = EXCLUDED_MODULUS) -> CoverageMap:
 
     Residues 0 and 2 mod 6 fall to the basis recipe.  A residue 4 mod 6 is
     assigned the family of its smallest class member whose index lands in
-    the table (index 1..4); classes all of whose members need index 5 or
-    more are reported uncovered.  At modulus 486 that leaves exactly
-    residue 244 uncovered.
+    the table; classes all of whose members need a larger index are
+    reported uncovered.  At modulus 486 that leaves exactly residue 244
+    uncovered.  Checking the members r and r + modulus suffices: at most
+    one of any three consecutive members has v3(lam - 1) above the
+    class's least, so one of these two attains it.
     """
     if modulus < 6 or modulus % 6 != 0:
         raise ValueError("modulus must be a positive multiple of 6")
@@ -300,23 +277,14 @@ def residue_coverage(modulus: int = EXCLUDED_MODULUS) -> CoverageMap:
         if r % 6 in (0, 2):
             entries.append(CoverageEntry(r, "basic"))
             continue
-        rep = r - 1
-        mod_v = _v3(modulus)
-        attainable = _v3(rep) if _v3(rep) < mod_v else mod_v
-        if attainable > 4:
-            entries.append(CoverageEntry(r, "uncovered"))
-            continue
-        entry = None
-        for t in range(12):
-            lam = r + t * modulus
-            i = _v3(lam - 1)
-            if i <= 4:
-                q = (lam - 1) // 3**i
-                side = "A" if q % 6 == 1 else "B"
-                entry = CoverageEntry(r, "family", index=i, side=side)
-                break
-        if entry is None:  # pragma: no cover - attainable bound rules this out
-            entry = CoverageEntry(r, "uncovered")
+        entry = CoverageEntry(r, "uncovered")
+        for lam in (r, r + modulus):
+            try:
+                index, side, _ = _family_parts(lam)
+            except NotRealizableError:
+                continue
+            entry = CoverageEntry(r, "family", index=index, side=side)
+            break
         entries.append(entry)
     return CoverageMap(modulus, tuple(entries))
 
@@ -345,15 +313,13 @@ def _explore_candidate(args) -> tuple[tuple[int, ...], str, tuple[int, ...] | No
         expansion = expand_basis(basis, count=_EXPLORE_TERMS)
     except DuplicateSumError:
         return head, tail_kind, None
-    if expansion[0] != 0 or len(expansion) < _EXPLORE_TERMS:
-        return head, tail_kind, None
     first_tail = basis.element(len(head))
     prefix = tuple(v for v in expansion if v < first_tail)
-    if not prefix or prefix[0] != 0:
+    try:
+        # generate validates the prefix as a seed: one has_3ap pass.
+        greedy = core.generate(prefix, count=len(expansion))
+    except InvalidSeedError:
         return head, tail_kind, None
-    if core.has_3ap(prefix) is not None:
-        return head, tail_kind, None
-    greedy = core.generate(prefix, count=len(expansion))
     if list(greedy.terms) != expansion:
         return head, tail_kind, None
     return head, tail_kind, tuple(expansion)

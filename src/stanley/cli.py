@@ -42,7 +42,6 @@ from .errors import (
     BudgetExceededError,
     DuplicateSumError,
     InsufficientTermsError,
-    InvalidBasisError,
     InvalidSeedError,
     InvalidSystemError,
     NotModularError,
@@ -595,7 +594,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         InvalidSeedError,
         InsufficientTermsError,
-        InvalidBasisError,
         InvalidSystemError,
         NotRepresentableError,
         DuplicateSumError,

@@ -38,14 +38,6 @@ class NotModularError(StanleyError):
         self.report = report
 
 
-class InvalidBasisError(StanleyError):
-    """Basis head breaks the exact-valuation rule at some index."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class InvalidSystemError(StanleyError):
     """Composed system violates one of its construction invariants."""
 

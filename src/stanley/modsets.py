@@ -225,30 +225,23 @@ def expand_modular(
     return out
 
 
-# Family table: near-modular base sets with respect to 3**(i+1), i = 1..4.
-# |A| = 2**(i+1); max is 2*3**i for the A side and 4*3**i for the B side.
-_FAMILY_BASE: dict[tuple[int, str], tuple[int, ...]] = {
-    (1, "A"): (0, 2, 5, 6),
-    (1, "B"): (0, 4, 10, 12),
-    (2, "A"): (0, 1, 4, 6, 10, 13, 15, 18),
-    (2, "B"): (0, 2, 8, 12, 20, 26, 30, 36),
-    (3, "A"): (0, 2, 3, 5, 11, 14, 18, 21, 29, 30, 32, 38, 41, 45, 48, 54),
-    (3, "B"): (0, 4, 6, 10, 22, 28, 36, 42, 58, 60, 64, 76, 82, 90, 96, 108),
-    (4, "A"): (
+# Family table: near-modular A-side base sets with respect to 3**(i+1),
+# one per index i.  |A| = 2**(i+1) and max(A) = 2*3**i.  The B side is
+# 2*A: doubling is a unit modulo 3**(i+1), so it keeps near-modularity,
+# and its max is 4*3**i.
+_FAMILY_BASE: dict[int, tuple[int, ...]] = {
+    1: (0, 2, 5, 6),
+    2: (0, 1, 4, 6, 10, 13, 15, 18),
+    3: (0, 2, 3, 5, 11, 14, 18, 21, 29, 30, 32, 38, 41, 45, 48, 54),
+    4: (
         0, 2, 8, 9, 15, 20, 24, 26,
         54, 56, 62, 63, 69, 74, 78, 80,
         83, 89, 90, 96, 101, 105, 107, 135,
         137, 143, 144, 150, 155, 159, 161, 162,
     ),
-    (4, "B"): (
-        0, 4, 16, 18, 30, 40, 48, 52,
-        108, 112, 124, 126, 138, 148, 156, 160,
-        166, 178, 180, 192, 202, 210, 214, 270,
-        274, 286, 288, 300, 310, 318, 322, 324,
-    ),
 }
 
-FAMILY_INDICES = (1, 2, 3, 4)
+FAMILY_INDICES = tuple(_FAMILY_BASE)
 FAMILY_SIDES = ("A", "B")
 
 
@@ -266,7 +259,9 @@ def family_set(index: int, side: str, shift: int = 0) -> tuple[int, ...]:
         raise ValueError("side must be 'A' or 'B'")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    base = _FAMILY_BASE[(index, side)]
+    base = _FAMILY_BASE[index]
+    if side == "B":
+        base = tuple(2 * v for v in base)
     if shift == 0:
         return base
     return base[:-1] + (base[-1] + shift * family_modulus(index),)
@@ -283,7 +278,7 @@ class FamilyEntry:
 def family_table() -> tuple[FamilyEntry, ...]:
     """All eight shipped base sets, in (index, side) order."""
     return tuple(
-        FamilyEntry(i, s, family_modulus(i), _FAMILY_BASE[(i, s)])
+        FamilyEntry(i, s, family_modulus(i), family_set(i, s))
         for i in FAMILY_INDICES
         for s in FAMILY_SIDES
     )

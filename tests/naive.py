@@ -238,3 +238,43 @@ def naive_first_violation(elements, modulus):
             return ("uncovered-residue", (r,))
         r += 1
     return None
+
+
+def naive_basis_cover(head):
+    """Modular cover of a basis head continued by exact powers of three.
+
+    The basis is b_0..b_m = head, then b_k = 3**k.  Past the head, powers
+    join until the next one exceeds the sum of all earlier elements: the
+    least M >= m with 3**(M + 1) > b_0 + ... + b_M.  The cover is every
+    subset sum of b_0..b_M (duplicates kept) with modulus 3**(M + 1).
+    """
+    elements = list(head)
+    while 3 ** len(elements) <= sum(elements):
+        elements.append(3 ** len(elements))
+    return naive_subset_sums(elements), 3 ** len(elements)
+
+
+def naive_residue_coverage(modulus, max_index=4):
+    """(residue, kind, index, side) for each even residue mod ``modulus``.
+
+    Residues 0, 2 mod 6 are "basic".  A residue r = 4 mod 6 takes the
+    family of its smallest member lam = r + t * modulus with
+    v3(lam - 1) <= max_index, read off lam - 1 = q * 3**i (side A when
+    q = 1 mod 6).  Membership of v3(lam - 1) <= max_index depends on lam
+    mod 3**(max_index + 1) only, so t below that power is exhaustive.
+    """
+    out = []
+    for r in range(0, modulus, 2):
+        if r % 6 in (0, 2):
+            out.append((r, "basic", None, None))
+            continue
+        entry = (r, "uncovered", None, None)
+        for t in range(3 ** (max_index + 1)):
+            q, i = r + t * modulus - 1, 0
+            while q % 3 == 0:
+                q, i = q // 3, i + 1
+            if i <= max_index:
+                entry = (r, "family", i, "A" if q % 6 == 1 else "B")
+                break
+        out.append(entry)
+    return out

@@ -152,8 +152,10 @@ def test_compose_system_rejections():
         compose_system((0, 1, 2, 4), ell=2)  # not near-modular
     with pytest.raises(InvalidSystemError):
         compose_system(family_set(1, "A"), ell=2, head=(7,))  # bad valuation
-    with pytest.raises(InvalidSystemError):
+    with pytest.raises(InvalidSystemError, match="differs from 2"):
         compose_system((0, 2, 5, 6), ell=0)
+    with pytest.raises(InvalidSystemError, match="nonnegative"):
+        compose_system((0,), ell=-1)
 
 
 def test_compose_matches_greedy():
@@ -201,6 +203,24 @@ def test_decompose_round_trip_full_prefix():
     sys1 = compose_system(family_set(1, "A"), ell=2)
     for v in compose(sys1, count=300):
         assert recompose(decompose(v, sys1), sys1) == v
+
+
+def test_ell_zero_system_is_the_plain_basis_expansion():
+    head = (2, 6)
+    sys0 = compose_system((0,), ell=0, head=head)
+    values = compose(sys0, count=200)
+    assert values == expand_basis(Basis(head), count=200)
+    assert compose(sys0, limit=values[-1]) == expand_basis(Basis(head), limit=values[-1])
+    cover = modularize(sys0)
+    assert (cover.elements, cover.modulus) == ((0, 2, 6, 8), 9)
+    members = set(values)
+    for v in range(values[-1]):
+        if v in members:
+            dec = decompose(v, sys0)
+            assert dec.a == 0 and recompose(dec, sys0) == v
+        else:
+            with pytest.raises(NotRepresentableError):
+                decompose(v, sys0)
 
 
 def test_decompose_rejects_non_members():

@@ -1,6 +1,7 @@
 """Planner, realization cross-check, residue coverage, exploration."""
 
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,8 @@ from stanley import (
 )
 from stanley import core
 from stanley.cli import main
+
+from .naive import naive_basis_cover, naive_residue_coverage
 
 
 def _v3(n):
@@ -146,6 +149,24 @@ def test_plan_seed_is_modular_cover():
         assert list(generate(cover.elements, count=3 * size).terms) == realized
 
 
+def test_basis_covers_match_the_subset_sum_oracle():
+    # A basis recipe is the composed system A = {0}, ell = 0; its cover
+    # must be the head's subset sums up to the dominance boundary.
+    for lam in range(0, 2001, 2):
+        if lam % 6 == 4:
+            continue
+        plan = plan_character(lam)
+        cover = plan_seed(plan)
+        elements, modulus = naive_basis_cover(plan.recipe.head)
+        assert (list(cover.elements), cover.modulus) == (elements, modulus), lam
+
+
+def test_smallest_basis_covers():
+    for lam, elements in ((0, (0, 1)), (2, (0, 2))):
+        cover = plan_seed(plan_character(lam))
+        assert (cover.elements, cover.modulus, cover.verdict) == (elements, 3, "modular")
+
+
 def test_verify_plan_round_trip_small():
     for lam in range(0, 100, 2):
         cert = verify_plan(plan_character(lam), depth=5)
@@ -227,6 +248,15 @@ def test_coverage_assignment_matches_realization():
         assert plan.recipe.side == e.side
 
 
+@pytest.mark.parametrize(
+    "moduli", [range(6, 1800, 6), (2916, 4374, 6 * 3**6 * 5)], ids=["small", "3-heavy"]
+)
+def test_coverage_matches_oracle(moduli):
+    for modulus in moduli:
+        got = [(e.residue, e.kind, e.index, e.side) for e in residue_coverage(modulus).entries]
+        assert got == naive_residue_coverage(modulus), modulus
+
+
 def test_coverage_other_moduli():
     small = residue_coverage(18)
     assert small.uncovered == ()
@@ -267,6 +297,25 @@ def realize_plan_like(result):
         Basis(result.head, geometric_tail=(result.tail == "geometric")),
         count=32,
     )
+
+
+def test_explore_validates_each_seed_once(monkeypatch):
+    # generate validates its seed with has_3ap; explore adds no check of
+    # its own on top.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "has_3ap", counted("has_3ap", core.has_3ap))
+    monkeypatch.setattr(core, "generate", counted("generate", core.generate))
+    explore_basic_characters(2, 12)
+    assert calls["generate"] > 0
+    assert calls["has_3ap"] == calls["generate"]
 
 
 def test_explore_budget_checked_before_enumeration():

@@ -98,9 +98,35 @@ def test_modular_matches_naive(elements, modulus):
     assert (report.verdict == "modular") == naive_is_modular(sorted(elements), modulus)
 
 
+# The eight shipped base sets, written out so that a change to how the
+# table is stored cannot change what it holds.
+FAMILY_SETS = {
+    (1, "A"): (0, 2, 5, 6),
+    (1, "B"): (0, 4, 10, 12),
+    (2, "A"): (0, 1, 4, 6, 10, 13, 15, 18),
+    (2, "B"): (0, 2, 8, 12, 20, 26, 30, 36),
+    (3, "A"): (0, 2, 3, 5, 11, 14, 18, 21, 29, 30, 32, 38, 41, 45, 48, 54),
+    (3, "B"): (0, 4, 6, 10, 22, 28, 36, 42, 58, 60, 64, 76, 82, 90, 96, 108),
+    (4, "A"): (
+        0, 2, 8, 9, 15, 20, 24, 26,
+        54, 56, 62, 63, 69, 74, 78, 80,
+        83, 89, 90, 96, 101, 105, 107, 135,
+        137, 143, 144, 150, 155, 159, 161, 162,
+    ),
+    (4, "B"): (
+        0, 4, 16, 18, 30, 40, 48, 52,
+        108, 112, 124, 126, 138, 148, 156, 160,
+        166, 178, 180, 192, 202, 210, 214, 270,
+        274, 286, 288, 300, 310, 318, 322, 324,
+    ),
+}
+
+
 def test_family_table_contents():
     table = family_table()
     assert len(table) == 8
+    assert {(e.index, e.side): e.elements for e in table} == FAMILY_SETS
+    assert [(e.index, e.side) for e in table] == list(FAMILY_SETS)
     for entry in table:
         assert entry.modulus == 3 ** (entry.index + 1)
         assert len(entry.elements) == 2 ** (entry.index + 1)
