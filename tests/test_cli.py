@@ -44,6 +44,283 @@ def run_json(capsys, command, *argv):
     return code, payload, err
 
 
+# Exact plain and csv stdout for every subcommand, on small inputs.  Each
+# case is (argv, exit code, plain, csv); SAME marks a csv output equal to
+# the plain one.  JSON is pinned by the schemas instead.
+SAME = object()
+
+GOLDEN = [
+    ("gen --seed 0,1,7 --count 6", EXIT_OK,
+     """\
+0
+1
+7
+8
+10
+11
+""", SAME),
+    ("analyze --seed 0,1,7 --depth 2", EXIT_OK,
+     """\
+independent: True
+character: 7
+chi: 2
+repeat_factor: 10
+verified_depth: 2
+""",
+     """\
+field,value
+independent,True
+character,7
+chi,2
+repeat_factor,10
+verified_depth,2
+"""),
+    ("analyze --seed 0,1,3,4,10 --depth 2", EXIT_FINDING,
+     """\
+independent: False
+violation_kind: character
+violation_depth: 2
+violation_index: None
+expected: 0
+actual: -1
+verified_depth: 2
+""",
+     """\
+field,value
+independent,False
+violation_kind,character
+violation_depth,2
+violation_index,None
+expected,0
+actual,-1
+verified_depth,2
+"""),
+    ("analyze --seed 0,4 --depth 3", EXIT_FINDING,
+     """\
+independent: False
+violation_kind: addition
+violation_depth: 3
+violation_index: 1
+expected: 30
+actual: 31
+verified_depth: 3
+""",
+     """\
+field,value
+independent,False
+violation_kind,addition
+violation_depth,3
+violation_index,1
+expected,30
+actual,31
+verified_depth,3
+"""),
+    ("modset --elements 0,2,5,6 --modulus 9", EXIT_OK,
+     'verdict: modular\n',
+     """\
+field,value
+verdict,modular
+"""),
+    ("modset --near --elements 0,1,2 --modulus 9", EXIT_FINDING,
+     """\
+verdict: invalid
+violation_kind: mod-ap
+violation: (2, 1, 0)
+""",
+     """\
+field,value
+verdict,invalid
+violation_kind,mod-ap
+violation,(2, 1, 0)
+"""),
+    ("modset --elements 1,2 --modulus 9", EXIT_FINDING,
+     """\
+verdict: invalid
+violation_kind: missing-zero
+violation: ()
+""",
+     """\
+field,value
+verdict,invalid
+violation_kind,missing-zero
+violation,()
+"""),
+    ("search --ell 2 --max-element 18", EXIT_OK,
+     """\
+0 1 4 6 10 13 15 18
+0 1 6 7 10 15 16 18
+""",
+     """\
+index,elements
+0,0 1 4 6 10 13 15 18
+1,0 1 6 7 10 15 16 18
+"""),
+    ("search --ell 1 --max-element 9", EXIT_FINDING,
+     "",
+     'index,elements\n'),
+    ("character --lambda 8 --count 4", EXIT_OK,
+     """\
+target: 8
+recipe: basis
+head: 2 6
+seed_modulus: 9
+seed: 0 2 6 8
+character: 8
+chi: 2
+repeat_factor: 9
+verified_depth: 6
+0
+2
+6
+8
+""",
+     """\
+field,value
+target,8
+recipe,basis
+head,2 6
+seed_modulus,9
+seed,0 2 6 8
+character,8
+chi,2
+repeat_factor,9
+verified_depth,6
+0
+2
+6
+8
+"""),
+    ("character --lambda 40 --count 3", EXIT_OK,
+     """\
+target: 40
+recipe: family
+family_index: 1
+family_side: A
+family_shift: 2
+seed_modulus: 81
+seed: 0 2 5 9 11 14 24 27 29 32 33 36 38 41 51 60
+character: 40
+chi: 4
+repeat_factor: 81
+verified_depth: 6
+0
+2
+5
+""",
+     """\
+field,value
+target,40
+recipe,family
+family_index,1
+family_side,A
+family_shift,2
+seed_modulus,81
+seed,0 2 5 9 11 14 24 27 29 32 33 36 38 41 51 60
+character,40
+chi,4
+repeat_factor,81
+verified_depth,6
+0
+2
+5
+"""),
+    ("coverage --modulus 18", EXIT_OK,
+     """\
+0 basic
+2 basic
+4 family index=1 side=A
+6 basic
+8 basic
+10 family index=2 side=A
+12 basic
+14 basic
+16 family index=1 side=B
+uncovered:\x20
+""",
+     """\
+residue,kind,index,side
+0,basic,,
+2,basic,,
+4,family,1,A
+6,basic,,
+8,basic,,
+10,family,2,A
+12,basic,,
+14,basic,,
+16,family,1,B
+"""),
+    ("growth --seed 0,4 --count 6 --spacing 2", EXIT_OK,
+     """\
+n term ratio
+1 4 4.000000
+2 5 1.666667
+4 11 1.222222
+5 12 0.936138
+ratio_min: 0.936138
+ratio_max: 4.000000
+alpha_estimate: 1.222222
+""",
+     """\
+n,term,ratio
+1,4,4.000000
+2,5,1.666667
+4,11,1.222222
+5,12,0.936138
+"""),
+    ("growth --seed 0 --count 1", EXIT_OK,
+     """\
+n term ratio
+ratio_min: nan
+ratio_max: nan
+alpha_estimate: nan
+""",
+     'n,term,ratio\n'),
+    ("explore --head-length 2 --max-entry 4", EXIT_OK,
+     """\
+head=(1) tail=power independent=True character=0 chi=0
+head=(2) tail=power independent=True character=2 chi=1
+head=(3 4) tail=power independent=True character=6 chi=2
+""",
+     """\
+head,tail,independent,character,chi
+1,power,True,0,0
+2,power,True,2,1
+3 4,power,True,6,2
+"""),
+    ("families", EXIT_OK,
+     """\
+A_1 mod 9: 0 2 5 6
+B_1 mod 9: 0 4 10 12
+A_2 mod 27: 0 1 4 6 10 13 15 18
+B_2 mod 27: 0 2 8 12 20 26 30 36
+A_3 mod 81: 0 2 3 5 11 14 18 21 29 30 32 38 41 45 48 54
+B_3 mod 81: 0 4 6 10 22 28 36 42 58 60 64 76 82 90 96 108
+A_4 mod 243: 0 2 8 9 15 20 24 26 54 56 62 63 69 74 78 80 83 89 90 96 101 105 107 135 137 143 144 150 155 159 161 162
+B_4 mod 243: 0 4 16 18 30 40 48 52 108 112 124 126 138 148 156 160 166 178 180 192 202 210 214 270 274 286 288 300 310 318 322 324
+""",
+     """\
+index,side,modulus,elements
+1,A,9,0 2 5 6
+1,B,9,0 4 10 12
+2,A,27,0 1 4 6 10 13 15 18
+2,B,27,0 2 8 12 20 26 30 36
+3,A,81,0 2 3 5 11 14 18 21 29 30 32 38 41 45 48 54
+3,B,81,0 4 6 10 22 28 36 42 58 60 64 76 82 90 96 108
+4,A,243,0 2 8 9 15 20 24 26 54 56 62 63 69 74 78 80 83 89 90 96 101 105 107 135 137 143 144 150 155 159 161 162
+4,B,243,0 4 16 18 30 40 48 52 108 112 124 126 138 148 156 160 166 178 180 192 202 210 214 270 274 286 288 300 310 318 322 324
+"""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, plain, csv", GOLDEN,
+    ids=[case[0].replace("--", "").replace(" ", "-") for case in GOLDEN],
+)
+def test_text_output_is_exact(capsys, argv, code, plain, csv):
+    for fmt, expected in (("plain", plain), ("csv", plain if csv is SAME else csv)):
+        assert run_cli(capsys, *argv.split(), "--format", fmt) == (code, expected, "")
+
+
 def test_gen_plain_tokens(capsys):
     code, out, err = run_cli(capsys, "gen", "--seed", "0", "--count", "8")
     assert code == EXIT_OK and err == ""
