@@ -2,11 +2,24 @@
 
 One executable, ``stanley``, with a subcommand per capability: gen,
 analyze, modset, search, character, coverage, growth, explore, families.
-Output is plain text by default; ``--format csv`` emits diffable
-comma-separated rows (one value per line for sequences, headered
-``index,value`` style rows for indexed reports) and ``--format json``
-emits a single object per run.  JSON integers above 2**53 are rendered
-as strings so javascript-side readers cannot silently round them.
+
+Each subcommand computes its result and returns a ``Report``: the JSON
+object (``record``), a table (``header`` and ``rows``), an optional plain
+formatter for one row (``line``), "name: value" ``notes`` printed in plain
+only, and the exit code.  One renderer prints every report:
+
+* ``--format json`` emits the record as a single object.  A dataclass
+  becomes its fields in order, and integers above 2**53 are rendered as
+  strings so javascript-side readers cannot silently round them.
+* ``--format csv`` emits the header, if any, then each row's cells joined
+  by commas.
+* ``--format plain`` (the default) emits each row through ``line``, or,
+  when there is none, the header and the rows with cells joined by
+  spaces; then the notes.
+
+One rule formats every text cell: None is blank, a sequence is
+space-joined, a float has six decimal places (nan stays ``nan``), and
+anything else is ``str()``.
 
 Exit codes are part of the contract:
 
@@ -33,20 +46,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from typing import Callable, Iterable, Sequence
 
-from . import basis as basis_mod
 from . import characters, core, modsets, structure
 from .errors import (
     BudgetExceededError,
-    DuplicateSumError,
-    InsufficientTermsError,
-    InvalidSeedError,
-    InvalidSystemError,
     NotModularError,
     NotRealizableError,
-    NotRepresentableError,
     OverflowLimitError,
     PlanVerificationError,
     StanleyError,
@@ -63,43 +70,18 @@ FORMATS = ("plain", "csv", "json")
 
 
 @dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from flags and env."""
+class Report:
+    """One subcommand's result, in the shape ``_render`` prints.
 
-    command: str
-    fmt: str = "plain"
-    seed: tuple[int, ...] | None = None
-    elements: tuple[int, ...] | None = None
-    count: int | None = None
-    limit: int | None = None
-    depth: int = 6
-    modulus: int | None = None
-    target: int | None = None
-    ell: int | None = None
-    max_element: int | None = None
-    head_length: int | None = None
-    max_entry: int | None = None
-    spacing: int = 1
-    near: bool = False
-    first_only: bool = False
-    workers: int = 1
-    budget: int | None = None
+    ``line``, when given, receives one row's text cells as arguments.
+    """
 
-    def node_budget(self) -> int:
-        if self.budget is not None:
-            return self.budget
-        raw = os.environ.get("STANLEY_NODE_BUDGET")
-        if raw is None:
-            return modsets.DEFAULT_NODE_BUDGET
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"STANLEY_NODE_BUDGET must be an integer, got {raw!r}"
-            ) from None
-        if value <= 0:
-            raise ValueError("STANLEY_NODE_BUDGET must be positive")
-        return value
+    record: dict
+    rows: Iterable[Sequence] = ()
+    header: Sequence[str] | None = None
+    line: Callable[..., str] | None = None
+    notes: Sequence[tuple[str, object]] = ()
+    code: int = EXIT_OK
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -126,361 +108,213 @@ def _json_ready(value):
         return value
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if is_dataclass(value):
+        return {f.name: _json_ready(getattr(value, f.name)) for f in fields(value)}
+    return [_json_ready(v) for v in value]  # a list, tuple or generator
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(_json_ready(obj), indent=2))
+def _join(values) -> str:
+    return " ".join(map(str, values))
 
 
-def _fmt_ratio(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.6f}"
+# The cell rule, keyed by exact type so that a cell costs one dict lookup:
+# growth tables run it on 16k rows.
+_TEXT = {type(None): lambda v: "", float: lambda v: f"{v:.6f}", tuple: _join, list: _join}
+
+
+def _cell(value) -> str:
+    return _TEXT.get(type(value), str)(value)
+
+
+def _render(fmt: str, report: Report) -> None:
+    # Rows are written one line at a time, so a generator of rows is
+    # never held whole.
+    if fmt == "json":
+        print(json.dumps(_json_ready(report.record), indent=2))
+        return
+    sep = "," if fmt == "csv" else " "
+    line = report.line if fmt == "plain" else None
+    if line is None:
+        if report.header:
+            print(sep.join(report.header))
+        for row in report.rows:
+            print(sep.join(map(_cell, row)))
+    else:
+        for row in report.rows:
+            print(line(*map(_cell, row)))
+    if fmt == "plain":
+        for name, value in report.notes:
+            print(f"{name}: {_cell(value)}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns the process exit code.
+# Subcommand bodies.  Each takes the normalized arguments and returns a
+# Report; none of them looks at --format.
+
+_FIELDS = ("field", "value")
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    seq = core.generate(cfg.seed, count=cfg.count, limit=cfg.limit)
-    if cfg.fmt == "json":
-        _print_json({"seed": list(seq.seed), "terms": list(seq.terms)})
-    else:
-        for t in seq.terms:
-            print(t)
-    return EXIT_OK
+def _field_line(*cells: str) -> str:
+    # "name: value" for a field row; a one-cell row (a term) prints bare.
+    return ": ".join(cells)
 
 
-def _required_terms(depth: int) -> int:
-    return 2**depth + 2 ** (depth - 1)
+def _node_budget(args: argparse.Namespace) -> int:
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("STANLEY_NODE_BUDGET")
+    if raw is None:
+        return modsets.DEFAULT_NODE_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"STANLEY_NODE_BUDGET must be an integer, got {raw!r}"
+        ) from None
+    if value <= 0:
+        raise ValueError("STANLEY_NODE_BUDGET must be positive")
+    return value
 
 
-def _violation_dict(v: structure.IdentityViolation) -> dict:
-    return {
-        "kind": v.kind,
-        "depth": v.depth,
-        "index": v.index,
-        "expected": v.expected,
-        "actual": v.actual,
-    }
+def _cmd_gen(args: argparse.Namespace) -> Report:
+    seq = core.generate(args.seed, count=args.count, limit=args.limit)
+    return Report({"seed": seq.seed, "terms": seq.terms}, ((t,) for t in seq.terms))
 
 
-def _report_rows(result) -> list[tuple[str, object]]:
+def _cmd_analyze(args: argparse.Namespace) -> Report:
+    required = 2**args.depth + 2 ** (args.depth - 1)
+    count = args.count if args.count is not None else required
+    if count < required:
+        raise ValueError(f"depth {args.depth} needs at least {required} terms")
+    seq = core.generate(args.seed, count=count)
+    result = structure.analyze_independence(seq, max_depth=args.depth)
+    record = {"independent": result.independent, **asdict(result)}
     if result.independent:
-        return [
-            ("independent", True),
-            ("character", result.character),
-            ("chi", result.chi),
-            ("repeat_factor", result.repeat_factor),
+        rows = list(record.items())
+    else:
+        v = result.violation
+        rows = [
+            ("independent", False),
+            ("violation_kind", v.kind),
+            ("violation_depth", v.depth),
+            ("violation_index", v.index),
+            ("expected", v.expected),
+            ("actual", v.actual),
             ("verified_depth", result.verified_depth),
         ]
-    v = result.violation
-    return [
-        ("independent", False),
-        ("violation_kind", v.kind),
-        ("violation_depth", v.depth),
-        ("violation_index", v.index),
-        ("expected", v.expected),
-        ("actual", v.actual),
-        ("verified_depth", result.verified_depth),
-    ]
+    code = EXIT_OK if result.independent else EXIT_FINDING
+    return Report(record, rows, _FIELDS, _field_line, code=code)
 
 
-def _emit_rows(cfg: RunConfig, rows: list[tuple[str, object]]) -> None:
-    if cfg.fmt == "csv":
-        print("field,value")
-        for k, v in rows:
-            print(f"{k},{v}")
-    else:
-        for k, v in rows:
-            print(f"{k}: {v}")
+def _cmd_modset(args: argparse.Namespace) -> Report:
+    verify = modsets.verify_near_modular if args.near else modsets.verify_modular
+    check = verify(args.elements, args.modulus)
+    record = {"elements": args.elements, "modulus": args.modulus, "verdict": check.verdict}
+    rows = [("verdict", check.verdict)]
+    if check.violation is not None:
+        record["violation"] = check.violation
+        rows += [("violation_kind", check.violation.kind), ("violation", check.violation.details)]
+    code = EXIT_OK if check.ok else EXIT_FINDING
+    return Report(record, rows, _FIELDS, _field_line, code=code)
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    count = cfg.count if cfg.count is not None else _required_terms(cfg.depth)
-    if count < _required_terms(cfg.depth):
-        raise ValueError(
-            f"depth {cfg.depth} needs at least {_required_terms(cfg.depth)} terms"
-        )
-    seq = core.generate(cfg.seed, count=count)
-    result = structure.analyze_independence(seq, max_depth=cfg.depth)
-    if cfg.fmt == "json":
-        if result.independent:
-            _print_json(
-                {
-                    "independent": True,
-                    "character": result.character,
-                    "chi": result.chi,
-                    "repeat_factor": result.repeat_factor,
-                    "verified_depth": result.verified_depth,
-                }
-            )
-        else:
-            _print_json(
-                {
-                    "independent": False,
-                    "violation": _violation_dict(result.violation),
-                    "verified_depth": result.verified_depth,
-                }
-            )
-    else:
-        _emit_rows(cfg, _report_rows(result))
-    return EXIT_OK if result.independent else EXIT_FINDING
-
-
-def _cmd_modset(cfg: RunConfig) -> int:
-    if cfg.near:
-        report = modsets.verify_near_modular(cfg.elements, cfg.modulus)
-    else:
-        report = modsets.verify_modular(cfg.elements, cfg.modulus)
-    rows: list[tuple[str, object]] = [("verdict", report.verdict)]
-    obj: dict = {"elements": list(cfg.elements), "modulus": cfg.modulus,
-                 "verdict": report.verdict}
-    if report.violation is not None:
-        rows.append(("violation_kind", report.violation.kind))
-        rows.append(("violation", report.violation.details))
-        obj["violation"] = {
-            "kind": report.violation.kind,
-            "details": report.violation.details,
-        }
-    if cfg.fmt == "json":
-        _print_json(obj)
-    else:
-        _emit_rows(cfg, rows)
-    return EXIT_OK if report.ok else EXIT_FINDING
-
-
-def _cmd_search(cfg: RunConfig) -> int:
+def _cmd_search(args: argparse.Namespace) -> Report:
     results = modsets.search_near_modular(
-        cfg.ell,
-        cfg.max_element,
-        budget=cfg.node_budget(),
-        workers=cfg.workers,
-        first_only=cfg.first_only,
+        args.ell,
+        args.max_element,
+        budget=_node_budget(args),
+        workers=args.workers,
+        first_only=args.first_only,
     )
-    modulus = 3 ** (cfg.ell + 1)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "ell": cfg.ell,
-                "modulus": modulus,
-                "max_element": cfg.max_element,
-                "sets": [list(s.elements) for s in results],
-            }
-        )
-    elif cfg.fmt == "csv":
-        print("index,elements")
-        for i, s in enumerate(results):
-            print(f"{i},{' '.join(str(v) for v in s.elements)}")
-    else:
-        for s in results:
-            print(" ".join(str(v) for v in s.elements))
-    return EXIT_OK if results else EXIT_FINDING
-
-
-def _recipe_dict(recipe) -> dict:
-    if isinstance(recipe, characters.BasisRecipe):
-        return {"kind": "basis", "head": list(recipe.head)}
-    return {
-        "kind": "family",
-        "index": recipe.index,
-        "side": recipe.side,
-        "shift": recipe.shift,
+    sets = [s.elements for s in results]
+    record = {
+        "ell": args.ell,
+        "modulus": 3 ** (args.ell + 1),
+        "max_element": args.max_element,
+        "sets": sets,
     }
+    return Report(record, enumerate(sets), ("index", "elements"),
+                  line=lambda index, elements: elements,
+                  code=EXIT_OK if sets else EXIT_FINDING)
 
 
-def _cmd_character(cfg: RunConfig) -> int:
-    plan = characters.plan_character(cfg.target)
+def _cmd_character(args: argparse.Namespace) -> Report:
+    plan = characters.plan_character(args.target)
     cover = characters.plan_seed(plan)
-    cert = characters._certify(plan, cover, cfg.depth)
-    terms = characters.realize_plan(plan, count=cfg.count) if cfg.count else None
-
-    if cfg.fmt == "json":
-        obj = {
-            "target": plan.target,
-            "recipe": _recipe_dict(plan.recipe),
-            "seed": {"elements": list(cover.elements), "modulus": cover.modulus},
-            "certificate": {
-                "character": cert.character,
-                "chi": cert.chi,
-                "repeat_factor": cert.repeat_factor,
-                "verified_depth": cert.verified_depth,
-            },
-        }
-        if terms is not None:
-            obj["terms"] = terms
-        _print_json(obj)
-        return EXIT_OK
-
-    rows: list[tuple[str, object]] = [("target", plan.target)]
-    recipe = _recipe_dict(plan.recipe)
-    rows.append(("recipe", recipe["kind"]))
-    if recipe["kind"] == "basis":
-        rows.append(("head", " ".join(str(b) for b in recipe["head"])))
-    else:
-        rows.append(("family_index", recipe["index"]))
-        rows.append(("family_side", recipe["side"]))
-        rows.append(("family_shift", recipe["shift"]))
-    rows.append(("seed_modulus", cover.modulus))
-    rows.append(("seed", " ".join(str(v) for v in cover.elements)))
-    rows.append(("character", cert.character))
-    rows.append(("chi", cert.chi))
-    rows.append(("repeat_factor", cert.repeat_factor))
-    rows.append(("verified_depth", cert.verified_depth))
-    _emit_rows(cfg, rows)
+    cert = characters._certify(plan, cover, args.depth)
+    terms = characters.realize_plan(plan, count=args.count) if args.count else None
+    kind = "basis" if isinstance(plan.recipe, characters.BasisRecipe) else "family"
+    recipe = asdict(plan.recipe)
+    record = {
+        "target": plan.target,
+        "recipe": {"kind": kind, **recipe},
+        "seed": {"elements": cover.elements, "modulus": cover.modulus},
+        "certificate": cert,
+    }
+    rows = [
+        ("target", plan.target),
+        ("recipe", kind),
+        *((name if kind == "basis" else f"family_{name}", v) for name, v in recipe.items()),
+        ("seed_modulus", cover.modulus),
+        ("seed", cover.elements),
+        *asdict(cert).items(),
+    ]
     if terms is not None:
-        for t in terms:
-            print(t)
-    return EXIT_OK
+        record["terms"] = terms
+        rows += [(t,) for t in terms]
+    return Report(record, rows, _FIELDS, _field_line)
 
 
-def _cmd_coverage(cfg: RunConfig) -> int:
-    modulus = cfg.modulus if cfg.modulus is not None else characters.EXCLUDED_MODULUS
-    cover = characters.residue_coverage(modulus)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "modulus": cover.modulus,
-                "uncovered": list(cover.uncovered),
-                "entries": [
-                    {
-                        "residue": e.residue,
-                        "kind": e.kind,
-                        "index": e.index,
-                        "side": e.side,
-                    }
-                    for e in cover.entries
-                ],
-            }
-        )
-    elif cfg.fmt == "csv":
-        print("residue,kind,index,side")
-        for e in cover.entries:
-            idx = "" if e.index is None else e.index
-            side = "" if e.side is None else e.side
-            print(f"{e.residue},{e.kind},{idx},{side}")
-    else:
-        for e in cover.entries:
-            extra = ""
-            if e.kind == "family":
-                extra = f" index={e.index} side={e.side}"
-            print(f"{e.residue} {e.kind}{extra}")
-        print(f"uncovered: {' '.join(str(r) for r in cover.uncovered)}")
-    return EXIT_OK
+def _coverage_line(residue: str, kind: str, index: str, side: str) -> str:
+    extra = f" index={index} side={side}" if kind == "family" else ""
+    return f"{residue} {kind}{extra}"
 
 
-def _cmd_growth(cfg: RunConfig) -> int:
-    seq = core.generate(cfg.seed, count=cfg.count, limit=cfg.limit)
-    report = structure.growth_stats(seq, sample_spacing=cfg.spacing)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "seed": list(seq.seed),
-                "spacing": report.spacing,
-                "samples": [
-                    {"n": s.n, "term": s.term, "ratio": s.ratio}
-                    for s in report.samples
-                ],
-                "ratio_min": report.ratio_min,
-                "ratio_max": report.ratio_max,
-                "alpha_estimate": report.alpha_estimate,
-            }
-        )
-        return EXIT_OK
-    print("n,term,ratio" if cfg.fmt == "csv" else "n term ratio")
-    joiner = "," if cfg.fmt == "csv" else " "
-    for s in report.samples:
-        print(joiner.join((str(s.n), str(s.term), _fmt_ratio(s.ratio))))
-    if cfg.fmt == "plain":
-        print(f"ratio_min: {_fmt_ratio(report.ratio_min)}")
-        print(f"ratio_max: {_fmt_ratio(report.ratio_max)}")
-        print(f"alpha_estimate: {_fmt_ratio(report.alpha_estimate)}")
-    return EXIT_OK
+def _cmd_coverage(args: argparse.Namespace) -> Report:
+    cover = characters.residue_coverage(args.modulus)
+    record = {"modulus": cover.modulus, "uncovered": cover.uncovered, "entries": cover.entries}
+    return Report(record, (astuple(e) for e in cover.entries), ("residue", "kind", "index", "side"),
+                  line=_coverage_line, notes=[("uncovered", cover.uncovered)])
 
 
-def _cmd_explore(cfg: RunConfig) -> int:
+def _cmd_growth(args: argparse.Namespace) -> Report:
+    seq = core.generate(args.seed, count=args.count, limit=args.limit)
+    report = structure.growth_stats(seq, sample_spacing=args.spacing)
+    # Samples and rows stay generators: only the chosen format builds one.
+    record = {
+        "seed": seq.seed,
+        "spacing": report.spacing,
+        "samples": ({"n": s.n, "term": s.term, "ratio": s.ratio} for s in report.samples),
+        "ratio_min": report.ratio_min,
+        "ratio_max": report.ratio_max,
+        "alpha_estimate": report.alpha_estimate,
+    }
+    notes = [(name, record[name]) for name in ("ratio_min", "ratio_max", "alpha_estimate")]
+    return Report(record, ((s.n, s.term, s.ratio) for s in report.samples),
+                  ("n", "term", "ratio"), notes=notes)
+
+
+def _cmd_explore(args: argparse.Namespace) -> Report:
     results = characters.explore_basic_characters(
-        cfg.head_length,
-        cfg.max_entry,
-        budget=cfg.node_budget(),
-        workers=cfg.workers,
+        args.head_length,
+        args.max_entry,
+        budget=_node_budget(args),
+        workers=args.workers,
     )
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "head_length": cfg.head_length,
-                "max_entry": cfg.max_entry,
-                "results": [
-                    {
-                        "head": list(r.head),
-                        "tail": r.tail,
-                        "independent": r.independent,
-                        "character": r.character,
-                        "chi": r.chi,
-                    }
-                    for r in results
-                ],
-            }
-        )
-        return EXIT_OK
-    if cfg.fmt == "csv":
-        print("head,tail,independent,character,chi")
-    for r in results:
-        head = " ".join(str(b) for b in r.head)
-        char = "" if r.character is None else r.character
-        chi = "" if r.chi is None else r.chi
-        if cfg.fmt == "csv":
-            print(f"{head},{r.tail},{r.independent},{char},{chi}")
-        else:
-            print(f"head=({head}) tail={r.tail} independent={r.independent} "
-                  f"character={char} chi={chi}")
-    return EXIT_OK
+    record = {"head_length": args.head_length, "max_entry": args.max_entry, "results": results}
+    return Report(record, (astuple(r) for r in results),
+                  ("head", "tail", "independent", "character", "chi"),
+                  line=lambda head, tail, independent, character, chi: (
+                      f"head=({head}) tail={tail} independent={independent} "
+                      f"character={character} chi={chi}"))
 
 
-def _cmd_families(cfg: RunConfig) -> int:
+def _cmd_families(args: argparse.Namespace) -> Report:
     table = modsets.family_table()
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "families": [
-                    {
-                        "index": e.index,
-                        "side": e.side,
-                        "modulus": e.modulus,
-                        "elements": list(e.elements),
-                    }
-                    for e in table
-                ]
-            }
-        )
-        return EXIT_OK
-    if cfg.fmt == "csv":
-        print("index,side,modulus,elements")
-        for e in table:
-            print(f"{e.index},{e.side},{e.modulus},"
-                  f"{' '.join(str(v) for v in e.elements)}")
-    else:
-        for e in table:
-            print(f"{e.side}_{e.index} mod {e.modulus}: "
-                  f"{' '.join(str(v) for v in e.elements)}")
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "analyze": _cmd_analyze,
-    "modset": _cmd_modset,
-    "search": _cmd_search,
-    "character": _cmd_character,
-    "coverage": _cmd_coverage,
-    "growth": _cmd_growth,
-    "explore": _cmd_explore,
-    "families": _cmd_families,
-}
+    return Report({"families": table}, (astuple(e) for e in table),
+                  ("index", "side", "modulus", "elements"),
+                  line=lambda index, side, modulus, elements: (
+                      f"{side}_{index} mod {modulus}: {elements}"))
 
 
 # ---------------------------------------------------------------------------
@@ -494,88 +328,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable[[argparse.Namespace], Report],
+            help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=FORMATS, default="plain")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("gen", "generate greedy terms from a seed")
+    p = add("gen", _cmd_gen, "generate greedy terms from a seed")
     p.add_argument("--seed", required=True, help="comma-separated, e.g. 0,1,7")
     p.add_argument("--count", type=int)
     p.add_argument("--limit", type=int)
 
-    p = add("analyze", "independence analysis of a greedy sequence")
+    p = add("analyze", _cmd_analyze, "independence analysis of a greedy sequence")
     p.add_argument("--seed", required=True)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--count", type=int, help="terms to generate first")
 
-    p = add("modset", "verify a (near-)modular set")
+    p = add("modset", _cmd_modset, "verify a (near-)modular set")
     p.add_argument("--elements", required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--near", action="store_true",
                    help="allow elements at or beyond the modulus")
 
-    p = add("search", "search for near-modular sets of size 2**(ell+1)")
+    p = add("search", _cmd_search, "search for near-modular sets of size 2**(ell+1)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--max-element", type=int, required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--first-only", action="store_true")
 
-    p = add("character", "plan, realize and certify an even character")
+    p = add("character", _cmd_character, "plan, realize and certify an even character")
     p.add_argument("--lambda", dest="target", type=int, required=True)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--count", type=int, help="also print this many terms")
 
-    p = add("coverage", "recipe coverage of even residue classes")
+    p = add("coverage", _cmd_coverage, "recipe coverage of even residue classes")
     p.add_argument("--modulus", type=int, default=characters.EXCLUDED_MODULUS)
 
-    p = add("growth", "growth statistics of a greedy sequence")
+    p = add("growth", _cmd_growth, "growth statistics of a greedy sequence")
     p.add_argument("--seed", required=True)
     p.add_argument("--count", type=int)
     p.add_argument("--limit", type=int)
     p.add_argument("--spacing", type=int, default=1)
 
-    p = add("explore", "survey basis heads and their characters")
+    p = add("explore", _cmd_explore, "survey basis heads and their characters")
     p.add_argument("--head-length", type=int, required=True)
     p.add_argument("--max-entry", type=int, required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--workers", type=int, default=1)
 
-    add("families", "print the built-in near-modular set families")
+    add("families", _cmd_families, "print the built-in near-modular set families")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, fmt=args.format)
-    if hasattr(args, "seed"):
-        cfg.seed = _parse_int_list(args.seed)
-    if getattr(args, "elements", None) is not None:
-        cfg.elements = _parse_int_list(args.elements)
-    for name in ("count", "limit", "depth", "modulus", "target", "ell",
-                 "max_element", "head_length", "max_entry", "spacing",
-                 "near", "first_only", "workers", "budget"):
+# Bounds that must be positive; --count and --limit may also be zero.
+_POSITIVE = ("count", "limit", "spacing", "workers", "budget",
+             "max_element", "head_length", "max_entry")
+
+
+def _normalize(args: argparse.Namespace) -> argparse.Namespace:
+    for name in ("seed", "elements"):
         if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    for name in ("count", "limit", "spacing", "workers", "budget",
-                 "max_element", "head_length", "max_entry"):
-        value = getattr(cfg, name)
+            setattr(args, name, _parse_int_list(getattr(args, name)))
+    for name in _POSITIVE:
+        value = getattr(args, name, None)
         if value is not None and value < (0 if name in ("count", "limit") else 1):
             raise ValueError(f"--{name.replace('_', '-')} must be positive")
-    return cfg
+    return args
 
 
-def run(cfg: RunConfig) -> int:
-    return _HANDLERS[cfg.command](cfg)
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line: print its report, return its exit code."""
+    report = args.handler(_normalize(args))
+    _render(args.format, report)
+    return report.code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
+        return run(args)
     except BrokenPipeError:
         return EXIT_OK
     except NotRealizableError as exc:
@@ -591,15 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        InvalidSeedError,
-        InsufficientTermsError,
-        InvalidSystemError,
-        NotRepresentableError,
-        DuplicateSumError,
-        StanleyError,
-        ValueError,
-    ) as exc:
+    except (StanleyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -32,6 +32,7 @@ element closes O(|chosen|) residues.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -318,9 +319,23 @@ def _covers(chosen: Sequence[int], modulus: int) -> bool:
     return all(covered)
 
 
+# In a pool worker, the nodes spent so far by the prefix split and every
+# branch of the running search: one counter shared by the pool's processes
+# and set by its initializer.  Branches add to it every _SHARE_NODES nodes
+# and when they end.
+_pool_nodes = None
+_SHARE_NODES = 1 << 14
+
+
+def _share_pool_nodes(counter) -> None:
+    global _pool_nodes
+    _pool_nodes = counter
+
+
 def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
     # All sets below one prefix and the nodes they took (see
-    # search_near_modular); more than budget - spent nodes raises.
+    # search_near_modular); more than budget - spent nodes raises, and so
+    # does a shared pool counter past the budget.
     prefix, modulus, size, max_element, budget, spent = args
     node_cap = budget - spent
     chosen = list(prefix)
@@ -329,12 +344,24 @@ def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
     last = max_element % modulus
     found: list[tuple[int, ...]] = []
     nodes = 0
+    shared = 0  # the nodes already added to _pool_nodes
+
+    def share() -> None:
+        nonlocal shared
+        with _pool_nodes.get_lock():
+            _pool_nodes.value += nodes - shared
+            total = _pool_nodes.value
+        shared = nodes
+        if total > budget:
+            raise BudgetExceededError(f"node budget exceeded ({budget})")
 
     def count(more: int) -> None:
         nonlocal nodes
         nodes += more
         if nodes > node_cap:
             raise BudgetExceededError(f"node budget exceeded ({budget})")
+        if _pool_nodes is not None and nodes - shared >= _SHARE_NODES:
+            share()
 
     def rec(open_: bytearray, slots_left: int) -> None:
         # slots_left >= 1 middle slots still to fill.
@@ -370,6 +397,8 @@ def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
         full = chosen + [max_element]
         if open_[last] and _covers(full, modulus):
             found.append(tuple(full))
+    if _pool_nodes is not None:
+        share()
     return found, nodes
 
 
@@ -406,8 +435,8 @@ def search_near_modular(
 
     A node is one candidate examined, plus one leaf check for each legal
     candidate for the last middle slot.  More than ``budget`` nodes raises
-    BudgetExceededError; a serial search stops at the budget, while pool
-    workers each run to it before the total is checked.
+    BudgetExceededError.  A serial search stops at the budget; a pool
+    stops within 2**14 nodes per branch in flight past it.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -452,12 +481,17 @@ def search_near_modular(
                 results = [min(results)]
                 break
     else:
-        jobs = [(p, modulus, size, max_element, budget, 0) for p in prefixes]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found, nodes in pool.map(_branch_search, jobs, chunksize=1):
-                nodes_used += nodes
-                if nodes_used > budget:
-                    raise BudgetExceededError(f"node budget exceeded ({budget})")
+        # The branches add their nodes to one shared counter, so the first
+        # to see it pass the budget raises, and the whole pool stops within
+        # _SHARE_NODES nodes per branch in flight.  The counter ends at the
+        # exact total, so the pool raises exactly when a serial search
+        # would.  The raise closes the map, which cancels every branch not
+        # yet handed to a worker.
+        counter = multiprocessing.Value("q", nodes_used)
+        jobs = [(p, modulus, size, max_element, budget, nodes_used) for p in prefixes]
+        with ProcessPoolExecutor(workers, initializer=_share_pool_nodes,
+                                 initargs=(counter,)) as pool:
+            for found, _ in pool.map(_branch_search, jobs, chunksize=1):
                 results.extend(found)
 
     results.sort()

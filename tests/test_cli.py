@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, schemas, env budget, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -12,12 +13,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stanley import core
+from stanley import cli, core
 from stanley.cli import (
     EXIT_FINDING,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_RESOURCE,
+    build_parser,
     main,
 )
 
@@ -46,7 +48,8 @@ def run_json(capsys, command, *argv):
 
 # Exact plain and csv stdout for every subcommand, on small inputs.  Each
 # case is (argv, exit code, plain, csv); SAME marks a csv output equal to
-# the plain one.  JSON is pinned by the schemas instead.
+# the plain one, and \x20 a trailing space.  JSON is pinned by the
+# schemas instead.
 SAME = object()
 
 GOLDEN = [
@@ -80,7 +83,7 @@ verified_depth,2
 independent: False
 violation_kind: character
 violation_depth: 2
-violation_index: None
+violation_index:\x20
 expected: 0
 actual: -1
 verified_depth: 2
@@ -90,7 +93,7 @@ field,value
 independent,False
 violation_kind,character
 violation_depth,2
-violation_index,None
+violation_index,
 expected,0
 actual,-1
 verified_depth,2
@@ -125,25 +128,25 @@ verdict,modular
      """\
 verdict: invalid
 violation_kind: mod-ap
-violation: (2, 1, 0)
+violation: 2 1 0
 """,
      """\
 field,value
 verdict,invalid
 violation_kind,mod-ap
-violation,(2, 1, 0)
+violation,2 1 0
 """),
     ("modset --elements 1,2 --modulus 9", EXIT_FINDING,
      """\
 verdict: invalid
 violation_kind: missing-zero
-violation: ()
+violation:\x20
 """,
      """\
 field,value
 verdict,invalid
 violation_kind,missing-zero
-violation,()
+violation,
 """),
     ("search --ell 2 --max-element 18", EXIT_OK,
      """\
@@ -319,6 +322,22 @@ index,side,modulus,elements
 def test_text_output_is_exact(capsys, argv, code, plain, csv):
     for fmt, expected in (("plain", plain), ("csv", plain if csv is SAME else csv)):
         assert run_cli(capsys, *argv.split(), "--format", fmt) == (code, expected, "")
+
+
+def test_every_subcommand_prints_only_through_the_renderer(capsys):
+    # Each subparser needs a _cmd_<name> that returns a Report without
+    # printing, a schema and a golden case, so no subcommand can write
+    # around the one renderer.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    golden = {case[0].split()[0]: case[0].split() for case in GOLDEN}
+    assert set(subparsers.choices) == set(golden)
+    for name, argv in golden.items():
+        args = parser.parse_args(argv)
+        assert args.handler is getattr(cli, f"_cmd_{name}")
+        assert isinstance(args.handler(cli._normalize(args)), cli.Report)
+        assert capsys.readouterr() == ("", "")
+        run_json(capsys, *argv)  # validates against schemas/<name>.json
 
 
 def test_gen_plain_tokens(capsys):

@@ -1,6 +1,8 @@
 """Modular set verification, the family table, block expansion, search."""
 
+import multiprocessing
 import os
+import time
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -208,7 +210,7 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -301,11 +303,13 @@ def test_only_progression_free_sets_reach_coverage(ell, max_element):
 
 
 @pytest.mark.parametrize("ell, max_element", [(2, 18), (1, 12)])
-def test_search_budget_threshold_is_exact(ell, max_element):
+def test_search_budget_threshold_is_exact(monkeypatch, ell, max_element):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     total = naive_search_nodes(ell, max_element)
-    assert search_near_modular(ell, max_element, budget=total)
-    with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
-        search_near_modular(ell, max_element, budget=total - 1)
+    for workers in (1, 2):
+        assert search_near_modular(ell, max_element, budget=total, workers=workers)
+        with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
+            search_near_modular(ell, max_element, budget=total - 1, workers=workers)
 
 
 def test_serial_branches_share_one_budget(monkeypatch):
@@ -326,6 +330,56 @@ def test_serial_branches_share_one_budget(monkeypatch):
     for budget, given, nodes in seen:
         assert (budget, given) == (10**6, spent)
         spent += nodes
+
+
+_BRANCH_LOG = ""  # file the pool branches below append to; fork workers inherit it
+_SLOW_PREFIX = ()  # branches from this prefix on sleep before searching
+_unlogged_branch = modsets._branch_search
+
+
+def _logged_branch(args):
+    with open(_BRANCH_LOG, "a") as log:
+        log.write(f"{args[5]},{modsets._pool_nodes is not None}\n")
+    if args[0] >= _SLOW_PREFIX:
+        time.sleep(1)
+    return _unlogged_branch(args)
+
+
+def test_pool_search_cancels_branches_after_an_overrun(monkeypatch, tmp_path):
+    # Each pool branch shares one node counter and may spend only what the
+    # prefix split left, here one node, so the first branch overruns at
+    # once.  The later branches are slowed so that the overrun is read
+    # while they are in flight.  Only the branches the pool has already
+    # handed out may still start: one running per worker and the
+    # workers + 1 calls it keeps queued, not all 380.
+    prefixes, spent = naive_search_prefixes(2, 36)
+    log = tmp_path / "branches"
+    monkeypatch.setattr(f"{__name__}._BRANCH_LOG", str(log))
+    monkeypatch.setattr(f"{__name__}._SLOW_PREFIX", prefixes[1])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(modsets, "_branch_search", _logged_branch)
+    with pytest.raises(BudgetExceededError, match=rf"\({spent + 1}\)"):
+        search_near_modular(2, 36, budget=spent + 1, workers=2)
+    given = log.read_text().split()
+    assert set(given) == {f"{spent},True"}
+    assert len(given) <= 1 + 2 + 3 < len(prefixes)
+
+
+def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
+    # A pool branch adds its nodes to the counter every branch shares, and
+    # raises once the counter passes the budget, below its own cap too.
+    prefixes, spent = naive_search_prefixes(2, 36)
+    prefix = prefixes[0]
+    nodes = naive_branch_search(prefix, 27, 8, 36)[1]
+    job = (prefix, 27, 8, 36, spent + nodes, spent)
+    counter = multiprocessing.Value("q", spent)
+    monkeypatch.setattr(modsets, "_pool_nodes", counter)
+    assert modsets._branch_search(job)[1] == nodes
+    assert counter.value == spent + nodes
+    counter.value = spent + 1  # another branch has spent one node
+    with pytest.raises(BudgetExceededError):
+        modsets._branch_search(job)
+    assert counter.value == spent + 1 + nodes
 
 
 def test_search_degenerate_bounds():
