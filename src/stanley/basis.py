@@ -8,15 +8,17 @@ a power of three without being a pure power.
 
 A basis with exact 3-adic valuations (3**(k + shift) divides b_k exactly)
 makes every value a + sum(delta_k * b_k) uniquely decomposable, which is
-what composition and decomposition below rely on.  Sorting of subset sums
-is done by streaming merges so memory stays proportional to the requested
-output, and any collision between two distinct subsets is detected and
-reported rather than silently deduplicated.
+what composition and decomposition below rely on.  Subset sums grow one
+basis element at a time, each step a merge of two sorted runs cut at the
+requested bound, so memory stays proportional to the requested output,
+and any collision between two distinct subsets is detected and reported
+rather than silently deduplicated.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -92,33 +94,20 @@ def verify_basis(b: Basis) -> BasisReport:
 
 
 def _merge_add(sums: list[int], b: int, count: int | None, limit: int | None) -> list[int]:
-    # Sorted merge of sums and sums + b with collision detection.
-    # Truncating at count is sound: later merges only add values, which can
-    # only push the count-th smallest down, never resurrect a dropped one.
-    out: list[int] = []
-    i = j = 0
-    n = len(sums)
-    while i < n or j < n:
-        if limit is not None:
-            if i < n and sums[i] > limit:
-                i = n
-            if j < n and sums[j] + b > limit:
-                j = n
-            if i >= n and j >= n:
-                break
-        left = sums[i] if i < n else None
-        right = sums[j] + b if j < n else None
-        if left is None or (right is not None and right < left):
-            out.append(right)
-            j += 1
-        elif right is None or left < right:
-            out.append(left)
-            i += 1
-        else:
-            raise DuplicateSumError(f"two distinct subsets sum to {left}")
-        if count is not None and len(out) >= count:
-            break
-    return out
+    # Sorted merge of sums and sums + b with collision detection; sorted()
+    # merges the two runs in C.  Truncating at count is sound: later merges
+    # only add values, which can only push the count-th smallest down,
+    # never resurrect a dropped one.  A collision counts when its first
+    # copy is among the first count values.
+    out = sorted(sums + [s + b for s in sums])
+    if limit is not None:
+        del out[bisect_right(out, limit):]
+    if count is not None:
+        del out[count + 1:]
+    if len(set(out)) != len(out):
+        value = next(v for v, w in zip(out, out[1:]) if v == w)
+        raise DuplicateSumError(f"two distinct subsets sum to {value}")
+    return out[:count]
 
 
 def expand_basis(

@@ -215,14 +215,20 @@ def _certify(
 
     realization = realize_plan(plan, count=n_terms)
     # The cover passed verify_modular, so it is increasing, starts at 0 and
-    # is 3-AP-free: the sieve runs without generate's re-validation.
-    greedy = core._extend(cover.elements, n_terms, None)
-    for idx, (got, want) in enumerate(zip(greedy.terms, realization)):
-        if got != want:
-            raise PlanVerificationError(
-                f"greedy generation diverges from the realization at index "
-                f"{idx}: greedy {got}, realized {want}"
-            )
+    # is 3-AP-free: the sieve runs without generate's re-validation.  No
+    # greedy term past the last realized one is ever compared, so the sieve
+    # stops at that value.  A run that stops short diverges where it
+    # stopped, and only then is its next term, past the bound, computed.
+    greedy = core._extend(cover.elements, n_terms, realization[-1])
+    got = list(greedy.terms)
+    if got != realization:
+        idx = next((i for i, (g, w) in enumerate(zip(got, realization)) if g != w), len(got))
+        if idx == len(got):
+            got = core._extend(cover.elements, idx + 1, None).terms
+        raise PlanVerificationError(
+            f"greedy generation diverges from the realization at index "
+            f"{idx}: greedy {got[idx]}, realized {realization[idx]}"
+        )
 
     result = structure.analyze_independence(greedy, max_depth=eff_depth)
     if not result.independent:

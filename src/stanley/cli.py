@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Bounds that must be positive; --count and --limit may also be zero.
 _POSITIVE = ("count", "limit", "spacing", "workers", "budget",
-             "max_element", "head_length", "max_entry")
+             "max_element", "head_length", "max_entry", "depth")
 
 
 def _normalize(args: argparse.Namespace) -> argparse.Namespace:

@@ -14,13 +14,17 @@ inadmissible, and the marks that land inside the window are written.
 Because terms increase, the earlier terms whose marks land inside the
 window form one slice, so appending is one vectorized scatter per term
 and candidate scanning is a chunked argmin over the window: generating n
-terms costs O(n^2) sieve writes with small constants.  When the window
-holds no free value, it moves on past its top, is cleared, and takes the
-marks of every pair x < y that lands in it.  No mark is written past the
-window, so marks above the final term stop at the last window's top, and
-no mark is written twice.  Memory is O(window + n) whatever the values:
-a window never holds more than _WINDOW bytes, and a term-count run starts
-with a smaller one sized from the expected growth.
+terms costs O(n^2) sieve writes with small constants.  The marks of a
+new term c that would land at or past the window's top come from the
+earlier terms at or below 2c - top, a prefix that is cut off; the cut
+only rises with c, so it advances through a Python list of the terms by
+bisection from where it stood.  When the window holds no free value, it
+moves on past its top, is cleared, and takes the marks of every pair
+x < y that lands in it.  No mark is written past the window, so marks
+above the final term stop at the last window's top, and no mark is
+written twice.  Memory is O(window + n) whatever the values: a window
+never holds more than _WINDOW bytes, and a term-count run starts with a
+smaller one sized from the expected growth.
 
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
@@ -32,6 +36,7 @@ to a binary search otherwise.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -257,6 +262,7 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
     terms_buf[: len(seed_t)] = seed_t
     buf = np.empty_like(terms_buf)
+    terms = list(seed_t)
     k = len(seed_t)
 
     # The window covers the values [base, base + size).  Marks at or below
@@ -276,6 +282,7 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
         # pair landing in it is marked here.
         _mark_pairs(blocked, terms_buf[:k], base, buf)
         top = base + size
+        lo = 0  # the cut: terms[:lo] lie at or below 2c - top
         idx = _next_free(blocked, 0, size)
         while idx >= 0:
             c = base + idx
@@ -285,9 +292,11 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
                 terms_buf = np.concatenate([terms_buf, np.zeros(len(terms_buf), np.int64)])
                 buf = np.empty_like(terms_buf)
             terms_buf[k] = c
+            terms.append(c)
             # Every mark 2c - x lies above c; those at or past the top come
             # from the x at or below 2c - top, a prefix, which is cut off.
-            lo = 0 if 2 * c < top else int(np.searchsorted(terms_buf[:k], 2 * c - top, "right"))
+            # Within a window the cut only rises with c.
+            lo = bisect_right(terms, 2 * c - top, lo)
             _mark(blocked, 2 * c - base, terms_buf[lo:k], buf)
             k += 1
             if count is not None and k >= count:
@@ -299,8 +308,7 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
         base = top
         size = _WINDOW if limit is None else min(_WINDOW, limit + 1 - base)
 
-    terms = tuple(int(v) for v in terms_buf[:k])
-    return GreedySequence(seed_t, terms, count, limit)
+    return GreedySequence(seed_t, tuple(terms), count, limit)
 
 
 def minimal_generating_prefix(terms: Sequence[int]) -> int:

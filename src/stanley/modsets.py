@@ -15,12 +15,17 @@ sequence by 2*j*3**(i+1); the character planner leans on exactly that.
 
 Verification is one pass over row blocks of the table 2y - z (mod N),
 computed from residues so elements of any size stay exact: O(|A|^2)
-cells in O(|A| * B) working memory for blocks of B rows.  A cell is
-looked up among the residues in a byte bitmap of N entries when N is at
-most |A|^2 and at most the byte size of one block, by binary search
-otherwise; covered residues go in a bitmap of min(N, |A|(|A|+1)/2 + 1)
-entries.  Verifying a 4096-element cover modulo 3**12 allocates about
-14 MB at its peak.
+cells in O(|A| * B) working memory for blocks of B rows.  No cell is
+reduced mod N.  Each is lifted to 2y - z + N, which lies in [0, 3N), and
+looked up among the residues tiled three times (r, r + N, r + 2N): in a
+byte bitmap of 3N entries when 3N is at most 9|A|^2 and at most the byte
+size of one block, by binary search otherwise.  The covering cells, z at
+or before y, are the columns before a block and a small triangle inside
+it; they go in a bitmap over [0, 3N) whose three thirds are folded
+together at the end.  Where 3N is larger than one block's bytes, only
+the covering cells are reduced mod N, into a bitmap of
+min(N, |A|(|A|+1)/2 + 1) entries.  Verifying a 4096-element cover modulo
+3**12 allocates about 12 MB at its peak.
 
 The search keeps, for the elements chosen so far, a byte bitmap of the
 residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
@@ -40,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, VALUE_CAP, _member_mask
+from .core import _BLOCK_CELLS, _member_mask
 from .errors import BudgetExceededError, NotModularError
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -90,9 +95,10 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
     # mod-AP, reported first in (y, z) row-major order; residue r is
     # covered by some 2y - z with y at or after z in index order.
     n = len(values)
+    # Cells are lifted to 2y - z + N in [0, 3N), which must fit in int64.
     res = np.array(
         [v % modulus for v in values],
-        dtype=np.int64 if modulus < VALUE_CAP else object,
+        dtype=np.int64 if 3 * modulus < 2**63 else object,
     )
     order = np.argsort(res, kind="stable")
     ranked = res[order]
@@ -103,27 +109,42 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
         k = int(np.argmax(repeated))
         y = values[order[k + 1]]
         return ModSetViolation("mod-ap", (values[order[k]], y, y))
-    member = _member_mask(ranked, modulus)
-    # P covering pairs reach at most P residues, so a gap lies at or below P.
-    covered = np.zeros(min(modulus, n * (n + 1) // 2 + 1), dtype=bool)
+    # A lifted cell is a residue mod N exactly when it is one of the
+    # residues tiled three times over [0, 3N).
+    tiled = np.concatenate([ranked, ranked + modulus, ranked + 2 * modulus])
+    member = _member_mask(tiled, 3 * modulus)
+    # Covered residues, lifted: a bitmap over [0, 3N) whose thirds fold
+    # together at the end.  Where that is larger than one row block,
+    # covering cells are reduced mod N instead, and since P covering pairs
+    # reach at most P residues, only residues up to P are kept.
+    lifted_cover = 3 * modulus <= 8 * _BLOCK_CELLS
+    size = 3 * modulus if lifted_cover else min(modulus, n * (n + 1) // 2 + 1)
+    covered = np.zeros(size, dtype=bool)
     index = np.arange(n)
-    rows = max(1, _BLOCK_CELLS // n)
+    rows = min(n, max(1, _BLOCK_CELLS // n))
+    block = np.empty((rows, n), dtype=res.dtype)
     for j0 in range(0, n, rows):
         j1 = min(n, j0 + rows)
-        cells = 2 * res[j0:j1, None] - res[None, :]  # indexed [y, z]
-        cells %= modulus
+        cells = block[: j1 - j0]  # indexed [y, z]
+        np.subtract((2 * res[j0:j1] + modulus)[:, None], res, out=cells)
         hit = member(cells)
         # With all residues distinct, the diagonal y == z only ever finds
         # the trivial x = y = z solution.
         hit[index[: j1 - j0], index[j0:j1]] = False
         if hit.any():
             i, z = divmod(int(np.argmax(hit)), n)
-            x = values[order[np.searchsorted(ranked, cells[i, z])]]
+            x = values[order[np.searchsorted(ranked, cells[i, z] % modulus)]]
             return ModSetViolation("mod-ap", (x, values[j0 + i], values[z]))
-        reached = cells[index[None, :] <= index[j0:j1, None]]
-        if len(covered) < modulus:
-            reached = reached[reached < len(covered)]
-        covered[reached.astype(np.intp, copy=False)] = True
+        # Covering cells have z at or before y: the rectangle of columns
+        # before the block, and a triangle within it.
+        for reached in (cells[:, :j0].ravel(), cells[:, j0:j1][np.tri(j1 - j0, dtype=bool)]):
+            if not lifted_cover:
+                reached = reached % modulus
+                if len(covered) < modulus:
+                    reached = reached[reached < len(covered)]
+            covered[reached.astype(np.intp, copy=False)] = True
+    if lifted_cover:
+        covered = covered[:modulus] | covered[modulus : 2 * modulus] | covered[2 * modulus :]
     if covered.all():
         return None
     return ModSetViolation("uncovered-residue", (int(np.argmin(covered)),))

@@ -13,6 +13,7 @@ from stanley import (
     BudgetExceededError,
     FamilyRecipe,
     NotRealizableError,
+    PlanVerificationError,
     analyze_independence,
     explore_basic_characters,
     generate,
@@ -23,7 +24,7 @@ from stanley import (
     verify_modular,
     verify_plan,
 )
-from stanley import core
+from stanley import characters, core
 from stanley.cli import main
 
 from .naive import naive_basis_cover, naive_residue_coverage
@@ -198,6 +199,34 @@ def test_verified_cover_is_not_revalidated(monkeypatch, capsys, lam):
 def test_verify_plan_depth_validation():
     with pytest.raises(ValueError):
         verify_plan(plan_character(8), depth=0)
+
+
+@pytest.mark.parametrize("lam", [8, 1540])
+@pytest.mark.parametrize("idx, step", [(100, 1), (255, -1)])
+def test_certify_reports_the_first_divergence(monkeypatch, lam, idx, step):
+    # A realization that differs from the greedy sequence in one term: a
+    # greedy term below the realized one, or, with the last realized term
+    # lowered, a greedy term past it.  The sieve stops at the last realized
+    # term, so in the second case the greedy run stops one term short, and
+    # the message still names its next term.
+    plan = plan_character(lam)
+    cover = plan_seed(plan)
+    assert len(cover.elements) <= 128  # so depth 7 compares 256 terms
+    greedy = generate(cover.elements, count=256).terms
+    real_realize = characters.realize_plan
+
+    def realize(p, count=None, limit=None):
+        terms = real_realize(p, count=count, limit=limit)
+        terms[idx] += step
+        return terms
+
+    monkeypatch.setattr(characters, "realize_plan", realize)
+    with pytest.raises(PlanVerificationError) as err:
+        verify_plan(plan, depth=7)
+    assert str(err.value) == (
+        f"greedy generation diverges from the realization at index {idx}: "
+        f"greedy {greedy[idx]}, realized {greedy[idx] + step}"
+    )
 
 
 def test_realize_plan_bounds():

@@ -638,6 +638,14 @@ def test_positivity_validation(capsys):
     assert code == EXIT_INPUT and "positive" in err
 
 
+@pytest.mark.parametrize("depth", ["-1", "0"])
+@pytest.mark.parametrize("argv", [["analyze", "--seed", "0"], ["character", "--lambda", "10"]])
+def test_depth_must_be_positive(capsys, argv, depth):
+    # Rejected before any term count is derived from it.
+    code, out, err = run_cli(capsys, *argv, "--depth", depth)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: --depth must be positive\n")
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

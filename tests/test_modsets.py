@@ -475,6 +475,12 @@ def test_verification_matches_oracle_on_mutated_covers(family, shift, data):
         assert_matches_oracle(values, cover.modulus)
 
 
+# Cells are lifted to [0, 3N) in int64 while 3N < 2**63 and in Python ints
+# past that; these moduli lie on both sides of the switch, and 2**62 - 1
+# would overflow a lifted int64 cell.
+EDGE_MODULI = [2**61 + 1, 3 * 2**59, 2**62 - 1, (2**63 - 1) // 3, (2**63 - 1) // 3 + 1]
+
+
 def test_verification_is_exact_past_int64():
     big = 2**70
     for elements, modulus in (
@@ -486,6 +492,30 @@ def test_verification_is_exact_past_int64():
     ):
         assert_matches_oracle(elements, modulus)
     assert verify_near_modular([0, 2, 5, 6 + 9 * big], 9).verdict == "near-modular-only"
+    for modulus in EDGE_MODULI:
+        for elements in (
+            [0, 1, 3, 9 + modulus],  # no mod-AP: the smallest gap, 4, is found
+            [0, 1, modulus - 1],  # 2*0 - 1 wraps to modulus - 1
+            [0, modulus - 2, 2 * modulus - 1],  # 2y - z lifts to 3N - 2
+            [0, 2, 5, modulus - 2, modulus + 4, 2 * modulus + 7],
+            [0, 3, modulus + 1, 2 * modulus - 2, 3 * modulus + 5],
+        ):
+            assert_matches_oracle(elements, modulus)
+
+
+def test_verification_reduces_covering_cells_past_the_lifted_bitmap():
+    # 3N is past the lifted bitmap in every layout, so covering cells are
+    # reduced mod N; a few elements leave residues above P uncovered.
+    modulus = 3**14
+    assert 3 * modulus > 8 * modsets._BLOCK_CELLS
+    for elements in (
+        [0, 1, 3, 9 + modulus],
+        [0, 1, 3, 9, 27 + 2 * modulus, 81],
+        [0, 2, 5, modulus - 2, modulus + 4],
+    ):
+        assert_matches_oracle(elements, modulus)
+    report = verify_near_modular([0, 1, 3, 9 + modulus], modulus)
+    assert report.violation == modsets.ModSetViolation("uncovered-residue", (4,))
 
 
 def test_large_cover_verification_memory():
