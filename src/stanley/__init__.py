@@ -7,9 +7,9 @@ The package splits into five layers:
   characters, growth statistics).
 * ``modsets``: modular and near-modular set verification, the shifted
   family table, and backtracking search for new sets.
-* ``basis``: subset-sum expansions of tripling bases and their
-  composition with near-modular sets, including exact decomposition of
-  members back into coordinates.
+* ``basis``: subset-sum expansions of tripling bases, their composition
+  with near-modular sets and the tiling of modular sets, all merged by
+  one kernel, plus exact decomposition of members back into coordinates.
 * ``characters``: the constructive planner realizing every nonnegative
   even character outside the class 244 mod 486, cross-checked against
   the greedy generator.
@@ -42,7 +42,6 @@ from .modsets import (
     ModSetReport,
     ModSetViolation,
     NearModularSet,
-    expand_modular,
     family_modulus,
     family_set,
     family_table,
@@ -60,8 +59,8 @@ from .basis import (
     compose_system,
     decompose,
     expand_basis,
+    expand_modular,
     modularize,
-    recompose,
     verify_basis,
 )
 from .characters import (
@@ -148,7 +147,6 @@ __all__ = [
     "plan_character",
     "plan_seed",
     "realize_plan",
-    "recompose",
     "residue_coverage",
     "search_near_modular",
     "validate_seed",

@@ -8,19 +8,25 @@ a power of three without being a pure power.
 
 A basis with exact 3-adic valuations (3**(k + shift) divides b_k exactly)
 makes every value a + sum(delta_k * b_k) uniquely decomposable, which is
-what composition and decomposition below rely on.  Subset sums grow one
-basis element at a time, each step a merge of two sorted runs cut at the
-requested bound, so memory stays proportional to the requested output,
-and any collision between two distinct subsets is detected and reported
-rather than silently deduplicated.
+what composition and decomposition below rely on.
+
+Every expansion is one kernel: the sorted sums s + sum(delta_k * e_k) of
+a start set and a run of elements e_k, grown one element at a time, each
+step a merge of two sorted runs cut at the requested bound.  Memory stays
+proportional to the requested output, and any collision between two
+distinct sums is detected and reported rather than silently
+deduplicated.  expand_basis starts from {0} and compose from A, both over
+the basis; modularize starts from A over b_0, ..., b_{n0-1}, and
+expand_modular from a modular A over N, 3N, 9N, ..., whose subset sums
+are N * S({0}).
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateSumError,
@@ -110,6 +116,46 @@ def _merge_add(sums: list[int], b: int, count: int | None, limit: int | None) ->
     return out[:count]
 
 
+def _check_bounds(count: int | None, limit: int | None) -> None:
+    # The bound rule of every bounded expansion.
+    if count is None and limit is None:
+        raise ValueError("need a count bound or a value limit")
+    if count is not None and count < 1:
+        raise ValueError("count must be positive")
+
+
+def _expand(
+    start: Iterable[int],
+    head: Iterable[int],
+    tail: Iterable[int],
+    count: int | None,
+    limit: int | None,
+) -> list[int]:
+    # Sorted sums s + sum(delta_k * e_k) of a nonnegative start set and the
+    # elements e_k of head, then tail, up to the bounds; a collision raises
+    # DuplicateSumError.  A head element is skipped only past the limit.
+    # The tail increases, so it stops at the first element past the limit
+    # or past the count-th smallest sum: every sum through that element or
+    # a later one is at least as large.
+    sums = sorted(start)
+    if limit is not None:
+        del sums[bisect_right(sums, limit):]
+    for v in head:
+        if limit is None or v <= limit:
+            sums = _merge_add(sums, v, count, limit)
+    for v in tail:
+        if limit is not None and v > limit:
+            break
+        if count is not None and len(sums) >= count and v > sums[count - 1]:
+            break
+        sums = _merge_add(sums, v, count, limit)
+    return sums[:count]
+
+
+def _tail(b: Basis) -> Iterable[int]:
+    return map(b.element, itertools.count(len(b.head)))
+
+
 def expand_basis(
     b: Basis,
     count: int | None = None,
@@ -122,29 +168,8 @@ def expand_basis(
     expansion stops once every unprocessed tail element exceeds the
     count-th smallest sum, which is exact because tail elements increase.
     """
-    if count is None and limit is None:
-        raise ValueError("need a count bound or a value limit")
-    if count is not None and count < 1:
-        raise ValueError("count must be positive")
-
-    sums = [0]
-    for k in range(len(b.head)):
-        v = b.head[k]
-        if limit is not None and v > limit:
-            continue  # every sum through v would exceed the limit
-        sums = _merge_add(sums, v, count, limit)
-    k = len(b.head)
-    while True:
-        v = b.element(k)
-        if limit is not None and v > limit:
-            break
-        if count is not None and len(sums) >= count and v > sums[count - 1]:
-            break
-        sums = _merge_add(sums, v, count, limit)
-        k += 1
-    if count is not None:
-        return sums[:count]
-    return sums
+    _check_bounds(count, limit)
+    return _expand((0,), b.head, _tail(b), count, limit)
 
 
 @dataclass(frozen=True)
@@ -224,31 +249,11 @@ def compose(
 ) -> list[int]:
     """Sorted values a + sum(delta_k * b_k), a in A, deltas 0/1 and finite.
 
-    Streams one generator per element of A over the shared subset-sum
-    expansion of the basis and k-way merges them; a collision between
-    streams violates the uniqueness invariant and raises DuplicateSumError.
+    The expansion from A over the basis; a value reached twice violates
+    the uniqueness invariant and raises DuplicateSumError.
     """
-    if count is None and limit is None:
-        raise ValueError("need a count bound or a value limit")
-    tail_sums = expand_basis(sys.basis, count=count, limit=limit)
-
-    def stream(a: int) -> Iterator[int]:
-        for s in tail_sums:
-            v = a + s
-            if limit is not None and v > limit:
-                return
-            yield v
-
-    out: list[int] = []
-    prev: int | None = None
-    for v in heapq.merge(*(stream(a) for a in sys.a_set)):
-        if prev is not None and v == prev:
-            raise DuplicateSumError(f"two distinct decompositions reach {v}")
-        out.append(v)
-        prev = v
-        if count is not None and len(out) >= count:
-            break
-    return out
+    _check_bounds(count, limit)
+    return _expand(sys.a_set, sys.basis.head, _tail(sys.basis), count, limit)
 
 
 def modularize(sys: ComposedSystem) -> NearModularSet:
@@ -256,16 +261,11 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
 
     L = { a + sum(delta_k * b_k, k < n0) } taken modulo 3**(n0 + ell)
     tiles the full composition: compose(sys) = L + modulus * S({0}).
-    The modularity of L is checked exhaustively here and a failure is an
-    invariant violation, reported loudly.
+    A repeated value and the modularity of L are checked exhaustively
+    here, and a failure is an invariant violation, reported loudly.
     """
-    prefix_sums = [0]
-    for k in range(sys.n0):
-        b = sys.basis.element(k)
-        prefix_sums = [s + d for s in prefix_sums for d in (0, b)]
-    values = sorted(a + s for a in sys.a_set for s in prefix_sums)
-    if len(set(values)) != len(values):
-        raise DuplicateSumError("modular cover produced a repeated value")
+    prefix = [sys.basis.element(k) for k in range(sys.n0)]
+    values = _expand(sys.a_set, prefix, (), None, None)
     modulus = sys.modulus
     report = verify_modular(values, modulus)
     if report.verdict != "modular":
@@ -275,6 +275,30 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
             report=report,
         )
     return NearModularSet(tuple(values), modulus, "modular")
+
+
+def expand_modular(
+    elements: Iterable[int],
+    modulus: int,
+    count: int | None = None,
+    limit: int | None = None,
+) -> list[int]:
+    """Sorted values of A + modulus * S({0}) for a verified modular A.
+
+    S({0}) is the set of subset sums of the powers of three, so this is
+    the expansion from A over modulus * 3**k.  Raises NotModularError when
+    verification fails.
+    """
+    _check_bounds(count, limit)
+    values = [int(v) for v in elements]  # read once, for the check and the merge
+    report = verify_modular(values, modulus)
+    if report.verdict != "modular":
+        raise NotModularError(
+            f"set is not modular with respect to {modulus}: {report.violation}",
+            report=report,
+        )
+    powers = (modulus * 3**k for k in itertools.count())
+    return _expand(values, (), powers, count, limit)
 
 
 @dataclass(frozen=True)
@@ -331,8 +355,3 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
             raise NotRepresentableError(f"{value} is not a member value")
         k += 1
     return Decomposition(a=a, delta=tuple(deltas))
-
-
-def recompose(dec: Decomposition, sys: ComposedSystem) -> int:
-    """Evaluate a decomposition back to its integer value."""
-    return dec.value(sys)

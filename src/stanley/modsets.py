@@ -6,7 +6,8 @@ x = y = z), and covers every residue: each r in [0, N) is 2y - z mod N for
 some y >= z in A.  It is *modular* when additionally every element lies in
 [0, N).  A modular set tiles its greedy extension: the sequence generated
 from seed A is exactly A + N*S where S is the greedy sequence grown from
-{0} alone, so expansion reduces to a closed form.
+{0} alone: the subset sums of the powers of three, which
+basis.expand_modular merges in like any basis.
 
 The family table below ships eight base sets, near-modular with respect to
 3**(i+1) for i = 1..4.  Shifting the largest element of a family set by
@@ -46,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import _BLOCK_CELLS, _member_mask
-from .errors import BudgetExceededError, NotModularError
+from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -150,6 +151,19 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
     return ModSetViolation("uncovered-residue", (int(np.argmin(covered)),))
 
 
+def _prelude(
+    elements: Iterable[int], modulus: int
+) -> tuple[tuple[int, ...], ModSetViolation | None]:
+    # The start both verifications share: the canonical values, and the
+    # missing-zero violation when 0 is absent.
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    values = _canonical(elements)
+    if not values or values[0] != 0:
+        return values, ModSetViolation("missing-zero")
+    return values, None
+
+
 def verify_near_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
     """Check the near-modular conditions for A with respect to ``modulus``.
 
@@ -157,12 +171,9 @@ def verify_near_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
     "near-modular-only" when some element sticks out, "invalid" with the
     first violation otherwise.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    values = _canonical(elements)
-    if not values or values[0] != 0:
-        return ModSetReport("invalid", ModSetViolation("missing-zero"))
-    violation = _first_violation(values, modulus)
+    values, violation = _prelude(elements, modulus)
+    if violation is None:
+        violation = _first_violation(values, modulus)
     if violation is not None:
         return ModSetReport("invalid", violation)
     verdict = "modular" if values[-1] < modulus else "near-modular-only"
@@ -171,18 +182,16 @@ def verify_near_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
 
 def verify_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
     """Like verify_near_modular but elements must also lie in [0, modulus)."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    values = _canonical(elements)
-    if not values or values[0] != 0:
-        return ModSetReport("invalid", ModSetViolation("missing-zero"))
-    outside = tuple(v for v in values if v >= modulus)
-    if outside:
-        return ModSetReport("invalid", ModSetViolation("out-of-range", outside))
-    report = verify_near_modular(values, modulus)
-    if report.verdict != "modular":
-        return ModSetReport("invalid", report.violation)
-    return report
+    values, violation = _prelude(elements, modulus)
+    if violation is None:
+        outside = tuple(v for v in values if v >= modulus)
+        if outside:
+            violation = ModSetViolation("out-of-range", outside)
+        else:
+            violation = _first_violation(values, modulus)
+    if violation is not None:
+        return ModSetReport("invalid", violation)
+    return ModSetReport("modular")
 
 
 def zero_sequence_value(n: int) -> int:
@@ -201,50 +210,6 @@ def zero_sequence_value(n: int) -> int:
         power *= 3
         n >>= 1
     return value
-
-
-def _zero_sequence_stream():
-    n = 0
-    while True:
-        yield zero_sequence_value(n)
-        n += 1
-
-
-def expand_modular(
-    elements: Iterable[int],
-    modulus: int,
-    count: int | None = None,
-    limit: int | None = None,
-) -> list[int]:
-    """Sorted values of A + modulus * S({0}) for a verified modular A.
-
-    Raises NotModularError when verification fails.  Because max(A) <
-    modulus, emitting blocks in closed-form order is already sorted.
-    """
-    if count is None and limit is None:
-        raise ValueError("need a count bound or a value limit")
-    values = _canonical(elements)
-    report = verify_modular(values, modulus)
-    if report.verdict != "modular":
-        raise NotModularError(
-            f"set is not modular with respect to {modulus}: {report.violation}",
-            report=report,
-        )
-    out: list[int] = []
-    for base in _zero_sequence_stream():
-        offset = modulus * base
-        if limit is not None and offset > limit:
-            break
-        for a in values:
-            v = offset + a
-            if limit is not None and v > limit:
-                break
-            out.append(v)
-            if count is not None and len(out) >= count:
-                return out
-        if limit is None and count is not None and len(out) >= count:
-            return out
-    return out
 
 
 # Family table: near-modular A-side base sets with respect to 3**(i+1),

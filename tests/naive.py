@@ -49,6 +49,12 @@ def naive_subset_sums(elements):
     return sorted(sums)
 
 
+def naive_expansion(start, window):
+    """Every a + s, a in start and s a subset sum of window; duplicates
+    included, sorted."""
+    return sorted(a + s for a in start for s in naive_subset_sums(window))
+
+
 def naive_is_near_modular(elements, modulus):
     """Triple-loop transcription of the near-modular definition."""
     a = sorted(elements)

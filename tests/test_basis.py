@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from stanley import (
     Basis,
+    ComposedSystem,
     Decomposition,
     DuplicateSumError,
     InvalidSystemError,
@@ -14,16 +15,16 @@ from stanley import (
     compose_system,
     decompose,
     expand_basis,
+    expand_modular,
     family_set,
     generate,
     modularize,
-    recompose,
     verify_basis,
     verify_modular,
     zero_sequence_value,
 )
 
-from .naive import naive_subset_sums
+from .naive import naive_expansion, naive_subset_sums
 
 
 def test_basis_element_rules():
@@ -128,6 +129,29 @@ def test_expand_collision_detection():
         expand_basis(Basis((1, 2, 3)), count=8)
 
 
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda **bounds: expand_basis(Basis((1,)), **bounds),
+        lambda **bounds: compose(compose_system(family_set(1, "A"), ell=2), **bounds),
+        lambda **bounds: expand_modular((0, 2, 5, 6), 9, **bounds),
+    ],
+    ids=["expand_basis", "compose", "expand_modular"],
+)
+def test_every_expansion_follows_one_bounds_rule(expand):
+    with pytest.raises(ValueError, match="need a count bound or a value limit"):
+        expand()
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count must be positive"):
+            expand(count=count)
+        with pytest.raises(ValueError, match="count must be positive"):
+            expand(count=count, limit=100)
+    # The start set is cut at the limit too: no value above it comes back.
+    assert expand(limit=-1) == []
+    assert expand(count=3, limit=-1) == []
+    assert expand(limit=0) == [0]
+
+
 def test_compose_system_families():
     sys1 = compose_system(family_set(1, "A"), ell=2)
     assert sys1.n0 == 1
@@ -190,19 +214,81 @@ def test_modularize_tiles_the_composition():
         assert comp == tiled
 
 
+ORACLE_SYSTEMS = [
+    pytest.param(family_set(index, side, shift), index + 1, (), id=f"{side}{index}-shift{shift}")
+    for index in (1, 2)
+    for side in ("A", "B")
+    for shift in range(4)
+] + [
+    pytest.param((0,), 0, head, id="head-" + "-".join(map(str, head)))
+    for head in ((1,), (2, 6), (4, 6), (5, 15), (2, 6, 36))
+]
+
+
+def assert_matches_reference(expand, reference, horizon):
+    # reference holds every value below horizon: compare count only, limit
+    # only, and both, with limits that cut the start set as well.
+    exact = [v for v in reference if v < horizon]
+    assert len(set(exact)) == len(exact)
+    n = len(exact)
+    for count in (1, 5, n // 3, n):
+        assert expand(count=count) == exact[:count]
+    assert expand(limit=horizon - 1) == exact
+    assert expand(limit=0) == [0]
+    for count, limit in [
+        (1, horizon - 1),
+        (n // 2, exact[n // 3]),
+        (n, exact[n // 2] - 1),
+        (n // 4, exact[-1]),
+        (5, exact[3]),
+    ]:
+        assert expand(count=count, limit=limit) == [v for v in exact if v <= limit][:count]
+
+
+@pytest.mark.parametrize("elements,ell,head", ORACLE_SYSTEMS)
+def test_compose_modularize_and_expand_modular_match_the_naive_expansion(elements, ell, head):
+    sys_ = compose_system(elements, ell=ell, head=head)
+    window = [sys_.basis.element(k) for k in range(6)]
+    assert_matches_reference(
+        lambda **bounds: compose(sys_, **bounds),
+        naive_expansion(sys_.a_set, window),
+        sys_.basis.element(6),
+    )
+    cover = modularize(sys_)
+    assert list(cover.elements) == naive_expansion(sys_.a_set, window[: sys_.n0])
+    powers = [cover.modulus * 3**k for k in range(4)]
+    assert_matches_reference(
+        lambda **bounds: expand_modular(cover.elements, cover.modulus, **bounds),
+        naive_expansion(cover.elements, powers),
+        cover.modulus * 3**4,
+    )
+
+
+def test_hand_built_systems_with_a_collision_raise():
+    # compose_system rejects both; built directly, each reaches one value
+    # twice.  Here 9 = 9 + 0 = 0 + b_1.
+    broken = ComposedSystem(a_set=(0, 9), ell=1, basis=Basis((), shift=1), n0=1)
+    with pytest.raises(DuplicateSumError):
+        compose(broken, count=4)
+    # And 3 = 3 + 0 = 0 + b_0 inside the cover.
+    broken = ComposedSystem(a_set=(0, 3), ell=1, basis=Basis((), shift=1), n0=1)
+    with pytest.raises(DuplicateSumError):
+        modularize(broken)
+
+
 def test_decompose_known_value():
     sys1 = compose_system(family_set(1, "A"), ell=2)
     # 29 = 2 + 27 = 2 + b_1, so delta hits only index 1
     dec = decompose(29, sys1)
     assert dec.a == 2
     assert dec.delta == (0, 1)
-    assert recompose(dec, sys1) == 29
+    assert dec.value(sys1) == 29
 
 
 def test_decompose_round_trip_full_prefix():
     sys1 = compose_system(family_set(1, "A"), ell=2)
     for v in compose(sys1, count=300):
-        assert recompose(decompose(v, sys1), sys1) == v
+        assert decompose(v, sys1).value(sys1) == v
 
 
 def test_ell_zero_system_is_the_plain_basis_expansion():
@@ -217,7 +303,7 @@ def test_ell_zero_system_is_the_plain_basis_expansion():
     for v in range(values[-1]):
         if v in members:
             dec = decompose(v, sys0)
-            assert dec.a == 0 and recompose(dec, sys0) == v
+            assert dec.a == 0 and dec.value(sys0) == v
         else:
             with pytest.raises(NotRepresentableError):
                 decompose(v, sys0)
@@ -244,7 +330,7 @@ def test_decompose_recompose_is_identity_on_members(bits):
     delta = tuple((bits >> k) & 1 for k in range(20))
     value = a + sum(sys1.basis.element(k) for k, d in enumerate(delta) if d)
     dec = decompose(value, sys1)
-    assert recompose(dec, sys1) == value
+    assert dec.value(sys1) == value
     assert dec.a == a
     trimmed = delta
     while trimmed and trimmed[-1] == 0:
@@ -258,7 +344,7 @@ def test_decompose_beyond_eighty_levels():
     value = 6 + 3**102
     dec = decompose(value, sys1)
     assert dec.a == 6 and dec.delta == (0,) * 100 + (1,)
-    assert recompose(dec, sys1) == value
+    assert dec.value(sys1) == value
 
 
 def test_decomposition_value_helper():
