@@ -4,10 +4,9 @@ Every nonnegative even target lam not congruent to 244 modulo 486 is
 realized by one of two recipes, split on lam mod 6:
 
 * lam = 0 or 2 (mod 6): a basis head (b_0, ..., b_m) with b_i = l_i * 3**i,
-  3 not dividing l_i, and sum of 2*(b_i - 3**i) equal to lam.  The head is
-  found by a digit-by-digit search over the multipliers l_i in
-  {1, 2, 4, 5, 7, 8} with base-3 carries, returning the lexicographically
-  smallest head.
+  3 not dividing l_i, and sum of 2*(b_i - 3**i) equal to lam.  The
+  multipliers l_i in {1, 2, 4, 5, 7, 8} are read off lam/2 digit by digit
+  in base 3, which gives the lexicographically smallest head in one pass.
 
 * lam = 4 (mod 6): a family recipe.  Writing lam - 1 = q * 3**i with
   3 not dividing q forces a unique index i, side (A for q = 1 mod 6, B for
@@ -16,9 +15,10 @@ realized by one of two recipes, split on lam mod 6:
   (mod 486), which this construction does not cover.
 
 Either recipe becomes a composed system (basis.compose_system) in one
-place.  A family recipe pairs the shifted family set with the all-powers
-tail basis; a basis recipe is the degenerate system A = {0}, ell = 0,
-whose composition is the subset-sum expansion of the head and powers.
+place, CharacterPlan.system, built once per plan.  A family recipe pairs
+the shifted family set with the all-powers tail basis; a basis recipe is
+the degenerate system A = {0}, ell = 0, whose composition is the
+subset-sum expansion of the head and powers.
 modularize gives every plan its finite modular cover and compose its
 realization.  Each plan is cross-checked against the greedy generator
 itself: the realization is reproduced term by term from the cover, then
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Union
@@ -50,10 +51,6 @@ from .modsets import verify_modular  # noqa: F401
 EXCLUDED_MODULUS = 486
 EXCLUDED_RESIDUE = 244
 
-# Multipliers coprime to 3, as offsets c = l - 1; each contributes
-# 2*c*3**i to the target, so c mod 3 must track the target's digit.
-_MULT_OFFSETS = (0, 1, 3, 4, 6, 7)
-
 
 @dataclass(frozen=True)
 class BasisRecipe:
@@ -72,33 +69,31 @@ class CharacterPlan:
     target: int
     recipe: Union[BasisRecipe, FamilyRecipe]
 
+    @cached_property
+    def system(self) -> ComposedSystem:
+        """The composed system of the recipe, built once per plan.
+
+        A basis head is the degenerate system A = {0}, ell = 0:
+        near-modular mod 3**0 = 1.
+        """
+        recipe = self.recipe
+        if isinstance(recipe, FamilyRecipe):
+            elements = family_set(recipe.index, recipe.side, recipe.shift)
+            return compose_system(elements, ell=recipe.index + 1)
+        return compose_system((0,), ell=0, head=recipe.head)
+
 
 def _basis_head_for(mu: int) -> tuple[int, ...]:
-    # Find offsets c_p in _MULT_OFFSETS with sum(c_p * 3**p) = mu, smallest
-    # head first.  At position p the remainder is divisible by 3**p and
-    # c_p must match its next digit mod 3; a digit of 2 has no matching
-    # offset and forces backtracking into a larger earlier offset.
+    # Offsets c_p = l_p - 1 in {0, 1, 3, 4, 6, 7} with sum(c_p * 3**p) = mu,
+    # smallest head first.  c_p must match the remainder's lowest digit
+    # mod 3; the smaller offset is taken unless it leaves a next digit of
+    # 2, which no offset matches, and then the one 3 larger is.
     assert mu % 3 != 2
-
-    def rec(p: int, rest: int, chosen: list[int]) -> list[int] | None:
-        if rest == 0:
-            return chosen
-        digit = (rest // 3**p) % 3
-        if digit == 2:
-            return None
-        for c in _MULT_OFFSETS:
-            if c % 3 != digit or c * 3**p > rest:
-                continue
-            found = rec(p + 1, rest - c * 3**p, chosen + [c])
-            if found is not None:
-                return found
-        return None
-
-    offsets = rec(0, mu, [])
-    if offsets is None:  # unreachable for mu = 0, 1 (mod 3)
-        raise PlanVerificationError(f"no basis head reaches {2 * mu}")
-    while offsets and offsets[-1] == 0:
-        offsets.pop()
+    offsets = []
+    while mu:
+        c = mu % 3 + (3 if mu // 3 % 3 == 2 else 0)
+        offsets.append(c)
+        mu = (mu - c) // 3
     if not offsets:
         return (1,)
     return tuple((c + 1) * 3**p for p, c in enumerate(offsets))
@@ -161,15 +156,6 @@ def _check_emitted_head(plan: CharacterPlan) -> None:
         )
 
 
-def _system(recipe: Union[BasisRecipe, FamilyRecipe]) -> ComposedSystem:
-    # The one place a recipe becomes a composed system.  A basis head is
-    # the degenerate system A = {0}, ell = 0: near-modular mod 3**0 = 1.
-    if isinstance(recipe, FamilyRecipe):
-        elements = family_set(recipe.index, recipe.side, recipe.shift)
-        return compose_system(elements, ell=recipe.index + 1)
-    return compose_system((0,), ell=0, head=recipe.head)
-
-
 def plan_seed(plan: CharacterPlan) -> NearModularSet:
     """Finite modular cover of the plan's realization.
 
@@ -177,7 +163,7 @@ def plan_seed(plan: CharacterPlan) -> NearModularSet:
     regenerates the full realization greedily, which verify_plan checks
     term by term.
     """
-    return modularize(_system(plan.recipe))
+    return modularize(plan.system)
 
 
 def realize_plan(
@@ -186,7 +172,7 @@ def realize_plan(
     limit: int | None = None,
 ) -> list[int]:
     """Terms of the sequence the plan promises, up to a bound."""
-    return compose(_system(plan.recipe), count=count, limit=limit)
+    return compose(plan.system, count=count, limit=limit)
 
 
 def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCertificate:

@@ -32,7 +32,12 @@ The search keeps, for the elements chosen so far, a byte bitmap of the
 residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
 close a progression exactly when c mod N lies in {2a - b, (a + b)/2 : a, b
 chosen}, so a candidate is checked with one lookup, and admitting an
-element closes O(|chosen|) residues.
+element closes O(|chosen|) residues.  The tree is split once, at the first
+middle element v1: one branch (0, v1) per legal v1, run in this process
+or in a pool.  Every branch reports its nodes to one counter and raises
+once the counter as last read plus its nodes not yet added pass the
+budget.  A first-only search runs the branches in order and stops at the
+first hit, counting nodes only up to it.
 """
 
 from __future__ import annotations
@@ -305,87 +310,91 @@ def _covers(chosen: Sequence[int], modulus: int) -> bool:
     return all(covered)
 
 
-# In a pool worker, the nodes spent so far by the prefix split and every
-# branch of the running search: one counter shared by the pool's processes
-# and set by its initializer.  Branches add to it every _SHARE_NODES nodes
-# and when they end.
+# In a pool worker, the node counter of the running search, installed by
+# the pool's initializer.  A branch adds its nodes to its counter every
+# _SHARE_NODES nodes, before it raises, and when it ends.
 _pool_nodes = None
 _SHARE_NODES = 1 << 14
 
 
-def _share_pool_nodes(counter) -> None:
+def _install_counter(counter) -> None:
     global _pool_nodes
     _pool_nodes = counter
 
 
-def _branch_search(args) -> tuple[list[tuple[int, ...]], int]:
-    # All sets below one prefix and the nodes they took (see
-    # search_near_modular); more than budget - spent nodes raises, and so
-    # does a shared pool counter past the budget.
-    prefix, modulus, size, max_element, budget, spent = args
-    node_cap = budget - spent
+def _pool_branch(job) -> list[tuple[int, ...]]:
+    return _branch_search(job, _pool_nodes)
+
+
+def _branch_search(job, counter) -> list[tuple[int, ...]]:
+    # The sets below one prefix (0, v1), or with first_only the first of
+    # them (see search_near_modular).  The branch raises once the counter
+    # as last read plus its nodes not yet added pass the budget.
+    prefix, modulus, size, max_element, budget, first_only = job
     chosen = list(prefix)
     # Bitmaps are tiled before the candidate scan so values index them.
     reps = max_element // modulus + 1
     last = max_element % modulus
     found: list[tuple[int, ...]] = []
-    nodes = 0
-    shared = 0  # the nodes already added to _pool_nodes
+    nodes = shared = 0  # the branch's nodes, and those added to the counter
+    limit = -1  # share once nodes pass it, first at the first count
 
     def share() -> None:
-        nonlocal shared
-        with _pool_nodes.get_lock():
-            _pool_nodes.value += nodes - shared
-            total = _pool_nodes.value
+        # Add the nodes to the counter and read it.  The next share comes
+        # _SHARE_NODES nodes later, or as soon as the counter as read plus
+        # the nodes not yet added would pass the budget.
+        nonlocal shared, limit
+        with counter.get_lock():
+            counter.value += nodes - shared
+            total = counter.value
         shared = nodes
         if total > budget:
             raise BudgetExceededError(f"node budget exceeded ({budget})")
-
-    def count(more: int) -> None:
-        nonlocal nodes
-        nodes += more
-        if nodes > node_cap:
-            raise BudgetExceededError(f"node budget exceeded ({budget})")
-        if _pool_nodes is not None and nodes - shared >= _SHARE_NODES:
-            share()
+        limit = nodes + min(_SHARE_NODES - 1, budget - total)
 
     def rec(open_: bytearray, slots_left: int) -> None:
-        # slots_left >= 1 middle slots still to fill.
+        # slots_left >= 1 middle slots still to fill; every candidate
+        # leaves at least one value for each slot after it.
+        nonlocal nodes
         start = chosen[-1] + 1
         stop = max_element - slots_left + 1
-        if stop <= start:
-            return
         tiled = open_ * reps
-        if slots_left > 1:
-            count(stop - start)
+        if slots_left == 1:
+            # Last middle slot: a legal candidate must also leave
+            # max_element legal, so it is read from the bitmap with
+            # max_element admitted.  The slot is counted once scanned.
+            if open_[last]:
+                with_max = _admit(open_, chosen, max_element, modulus) * reps
+                for cand in itertools.compress(range(start, stop), with_max[start:stop]):
+                    full = chosen + [cand, max_element]
+                    if _covers(full, modulus):
+                        found.append(tuple(full))
+                        if first_only:
+                            stop = cand + 1
+                            break
+            nodes += stop - start + tiled.count(1, start, stop)
+        else:
+            # Candidates are counted as they are reached, so a first_only
+            # hit leaves the rest of each row uncounted.
+            reached = start
             for cand in itertools.compress(range(start, stop), tiled[start:stop]):
+                nodes += cand + 1 - reached
+                reached = cand + 1
+                if nodes > limit:
+                    share()
                 child = _admit(open_, chosen, cand, modulus)
                 chosen.append(cand)
                 rec(child, slots_left - 1)
                 chosen.pop()
-            return
-        # Last middle slot: a legal candidate must also leave max_element
-        # legal, so it is read from the bitmap with max_element admitted.
-        count(stop - start + tiled.count(1, start, stop))
-        if not open_[last]:
-            return
-        with_max = _admit(open_, chosen, max_element, modulus) * reps
-        for cand in itertools.compress(range(start, stop), with_max[start:stop]):
-            full = chosen + [cand, max_element]
-            if _covers(full, modulus):
-                found.append(tuple(full))
+                if first_only and found:
+                    return
+            nodes += stop - reached
+        if nodes > limit:
+            share()
 
-    open_ = _open_residues(chosen, modulus)
-    if len(chosen) < size - 1:
-        rec(open_, size - 1 - len(chosen))
-    else:  # the prefix fills every middle slot: one leaf check
-        count(1)
-        full = chosen + [max_element]
-        if open_[last] and _covers(full, modulus):
-            found.append(tuple(full))
-    if _pool_nodes is not None:
-        share()
-    return found, nodes
+    rec(_open_residues(chosen, modulus), size - 1 - len(chosen))
+    share()
+    return found
 
 
 def _worker_count(requested: int, jobs: int) -> int:
@@ -413,16 +422,20 @@ def search_near_modular(
     {2a - b, (a + b)/2 mod N : a, b chosen}, read from a bitmap of open
     residues.  A candidate for the last middle slot must also leave
     ``max_element`` legal; every full set is then checked for coverage.
-    Results come back sorted and duplicate-free, and are identical for
-    every worker count: the tree splits at fixed depth-2 prefixes,
-    branches are independent, and branch results are merged in prefix
-    order.  No more processes start than there are prefixes or usable
-    CPUs.  ``first_only`` stops at the lexicographically first hit.
+    The tree splits once, at the first middle element v1: one branch per
+    legal v1, each walked in ascending order, so results come back sorted,
+    duplicate-free and identical for every worker count.  No more
+    processes start than there are branches or usable CPUs.
+    ``first_only`` runs the branches in this process, in order, and stops
+    at the first hit, the lexicographically first set.
 
     A node is one candidate examined, plus one leaf check for each legal
-    candidate for the last middle slot.  More than ``budget`` nodes raises
-    BudgetExceededError.  A serial search stops at the budget; a pool
-    stops within 2**14 nodes per branch in flight past it.
+    candidate for the last middle slot; a first_only search counts the
+    nodes up to its hit.  More than ``budget`` nodes raises
+    BudgetExceededError.  The split counts its v1 candidates in one step,
+    and every branch adds its nodes to one counter.  A serial search stops
+    at the budget; a pool stops within 2**14 nodes per branch in flight
+    past it.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -435,52 +448,34 @@ def search_near_modular(
     if max_element < size - 1:
         return []
 
-    # Depth-2 prefix split: fix the two smallest middle elements.  Each v1
-    # row adds its candidates in one step; counts only rise, so raising as
-    # soon as they pass the budget raises exactly when the total would.
-    prefixes: list[tuple[int, int, int]] = []
-    nodes_used = 0
-    open0 = _open_residues((0,), modulus)
-    stop = max_element - (size - 4)
-    for v1 in range(1, stop - 1):
-        row = stop - v1 - 1 if open0[v1 % modulus] else 0
-        nodes_used += 1 + row
-        if nodes_used > budget:
-            raise BudgetExceededError(f"node budget exceeded ({budget})")
-        if not row:
-            continue
-        open1 = _admit(open0, (0,), v1, modulus)
-        for v2 in range(v1 + 1, stop):
-            if open1[v2 % modulus]:
-                prefixes.append((0, v1, v2))
-
-    workers = _worker_count(workers, len(prefixes))
+    # Only a multiple of N repeats 0's residue, so every other v1 is legal.
+    stop = max_element - size + 3
+    if stop - 1 > budget:
+        raise BudgetExceededError(f"node budget exceeded ({budget})")
+    jobs = [((0, v1), modulus, size, max_element, budget, first_only)
+            for v1 in range(1, stop) if v1 % modulus]
+    # In one process, the counter as last read plus a branch's nodes not
+    # yet added is the exact total, so a serial search raises exactly at
+    # the budget.  In a pool it is a lower bound, and the branch that adds
+    # last reads the exact total, so the pool raises exactly when a serial
+    # search would.
+    counter = multiprocessing.Value("q", stop - 1)
+    workers = _worker_count(workers, len(jobs))
     results: list[tuple[int, ...]] = []
 
     if workers == 1 or first_only:
-        # Each branch may spend only what the earlier ones left.
-        for p in prefixes:
-            found, nodes = _branch_search((p, modulus, size, max_element, budget, nodes_used))
-            nodes_used += nodes
-            results.extend(found)
+        for job in jobs:
+            results.extend(_branch_search(job, counter))
             if first_only and results:
-                results = [min(results)]
                 break
     else:
-        # The branches add their nodes to one shared counter, so the first
-        # to see it pass the budget raises, and the whole pool stops within
-        # _SHARE_NODES nodes per branch in flight.  The counter ends at the
-        # exact total, so the pool raises exactly when a serial search
-        # would.  The raise closes the map, which cancels every branch not
-        # yet handed to a worker.
-        counter = multiprocessing.Value("q", nodes_used)
-        jobs = [(p, modulus, size, max_element, budget, nodes_used) for p in prefixes]
-        with ProcessPoolExecutor(workers, initializer=_share_pool_nodes,
+        # The raise closes the map, which cancels every branch not yet
+        # handed to a worker.
+        with ProcessPoolExecutor(workers, initializer=_install_counter,
                                  initargs=(counter,)) as pool:
-            for found, _ in pool.map(_branch_search, jobs, chunksize=1):
+            for found in pool.map(_pool_branch, jobs, chunksize=1):
                 results.extend(found)
 
-    results.sort()
     return [
         NearModularSet(r, modulus, "modular" if r[-1] < modulus else "near-modular-only")
         for r in results

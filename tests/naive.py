@@ -112,12 +112,13 @@ def naive_extension_ok(chosen, cand, modulus):
     return True
 
 
-def naive_branch_search(prefix, modulus, size, max_element):
+def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
     """(sets, nodes) below one search prefix, checking each candidate anew.
 
     A node is one candidate examined, and one leaf check each time the
     middle slots are all filled; a set counts when its residues 2y - z,
-    y >= z, reach every class.
+    y >= z, reach every class.  With first_only the walk stops right after
+    the leaf check that finds the first set.
     """
     chosen = list(prefix)
     found = []
@@ -135,6 +136,8 @@ def naive_branch_search(prefix, modulus, size, max_element):
                 found.append(tuple(full))
             return
         for cand in range(start, max_element - slots_left + 1):
+            if first_only and found:
+                return
             nodes += 1
             if naive_extension_ok(chosen, cand, modulus):
                 chosen.append(cand)
@@ -146,29 +149,32 @@ def naive_branch_search(prefix, modulus, size, max_element):
 
 
 def naive_search_prefixes(ell, max_element):
-    """(depth-2 prefixes (0, v1, v2), nodes spent finding them)."""
+    """(depth-1 prefixes (0, v1), nodes spent finding them)."""
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
     prefixes = []
     nodes = 0
     for v1 in range(1, max_element - (size - 3)):
         nodes += 1
-        if not naive_extension_ok([0], v1, modulus):
-            continue
-        for v2 in range(v1 + 1, max_element - (size - 4)):
-            nodes += 1
-            if naive_extension_ok([0, v1], v2, modulus):
-                prefixes.append((0, v1, v2))
+        if naive_extension_ok([0], v1, modulus):
+            prefixes.append((0, v1))
     return prefixes, nodes
 
 
-def naive_search_nodes(ell, max_element):
-    """Every node a full search with these bounds examines."""
+def naive_search_nodes(ell, max_element, first_only=False):
+    """Every node a search with these bounds examines.
+
+    With first_only the branches are walked in order and the count stops
+    at the first set found.
+    """
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
     prefixes, nodes = naive_search_prefixes(ell, max_element)
     for prefix in prefixes:
-        nodes += naive_branch_search(prefix, modulus, size, max_element)[1]
+        found, more = naive_branch_search(prefix, modulus, size, max_element, first_only)
+        nodes += more
+        if first_only and found:
+            break
     return nodes
 
 
@@ -258,6 +264,36 @@ def naive_basis_cover(head):
     while 3 ** len(elements) <= sum(elements):
         elements.append(3 ** len(elements))
     return naive_subset_sums(elements), 3 ** len(elements)
+
+
+def naive_basis_head(mu):
+    """Lexicographically smallest head (l_0 * 3**0, l_1 * 3**1, ...) with
+    multipliers l_p in {1, 2, 4, 5, 7, 8} and sum (l_p - 1) * 3**p = mu,
+    by backtracking over the offsets l_p - 1 position by position.
+
+    An offset must match the remainder's digit mod 3, and a digit of 2
+    has no match, so the search backs up into a larger earlier offset.
+    mu = 0 gives the head (1,).  Recursion depth grows with the number of
+    base-3 digits of mu.
+    """
+
+    def rec(p, rest, chosen):
+        if rest == 0:
+            return chosen
+        digit = (rest // 3**p) % 3
+        if digit == 2:
+            return None
+        for c in (0, 1, 3, 4, 6, 7):
+            if c % 3 != digit or c * 3**p > rest:
+                continue
+            found = rec(p + 1, rest - c * 3**p, chosen + [c])
+            if found is not None:
+                return found
+        return None
+
+    offsets = rec(0, mu, [])
+    assert offsets is not None, mu
+    return tuple((c + 1) * 3**p for p, c in enumerate(offsets)) or (1,)
 
 
 def naive_residue_coverage(modulus, max_index=4):

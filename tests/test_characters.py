@@ -1,6 +1,7 @@
 """Planner, realization cross-check, residue coverage, exploration."""
 
 import json
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from stanley import (
 from stanley import characters, core
 from stanley.cli import main
 
-from .naive import naive_basis_cover, naive_residue_coverage
+from .naive import naive_basis_cover, naive_basis_head, naive_residue_coverage
 
 
 def _v3(n):
@@ -136,6 +137,43 @@ def _reachable(mu, start):
         if _reachable(mu - c * 3**start, start + 1):
             return True
     return False
+
+
+def test_basis_heads_match_the_backtracking_oracle():
+    # Every mu = 0, 1 (mod 3) below 20000, and 200 drawn with up to 300
+    # ternary digits.
+    rng = random.Random(20)
+    drawn = [rng.randrange(3 ** rng.randrange(1, 301)) for _ in range(200)]
+    for mu in list(range(20000)) + drawn:
+        if mu % 3 != 2:
+            assert characters._basis_head_for(mu) == naive_basis_head(mu), mu
+
+
+def test_plans_targets_with_a_thousand_ternary_digits():
+    # Planning walks the digits of lam/2 in a loop, so no recursion limit
+    # caps the target.
+    powers = tuple(3**p for p in range(1, 1000))
+    for lam, first in ((2 * 3**1000, 1), (2 * 3**1000 + 2, 2)):
+        plan = plan_character(lam)
+        assert plan.recipe == BasisRecipe((first,) + powers + (2 * 3**1000,))
+
+
+@pytest.mark.parametrize("lam", [300, 40, 1540])
+@pytest.mark.parametrize("count", [[], ["--count", "40"]])
+def test_character_builds_its_system_once(monkeypatch, capsys, lam, count):
+    # plan_seed, the certificate and the realization share the plan's one
+    # composed system.
+    calls = []
+    build = characters.compose_system
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "compose_system", spy)
+    assert main(["character", "--lambda", str(lam), *count]) == 0
+    assert str(lam) in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_plan_seed_is_modular_cover():

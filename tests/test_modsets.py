@@ -210,8 +210,10 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers, **options):
+        def __init__(self, max_workers, initializer=None, initargs=(), **options):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -227,8 +229,9 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(modsets, "_pool_nodes", None)  # the in-process initializer sets it
     monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
-    jobs = {"search": 72, "explore": 87}  # depth-2 prefixes; heads x tails
+    jobs = {"search": 12, "explore": 87}  # first middle elements; heads x tails
     for name, run in (
         ("search", lambda: search_near_modular(2, 18, workers=requested)),
         ("explore", lambda: explore_basic_characters(2, 9, workers=requested)),
@@ -243,6 +246,11 @@ def test_search_first_only():
     all_sets = search_near_modular(1, 12)
     first = search_near_modular(1, 12, first_only=True)
     assert first == [min(all_sets, key=lambda s: s.elements)]
+    # The first hit is the first of all sets, also with a pool requested
+    # and when there is none.
+    for ell, max_element in [(1, m) for m in range(3, 45)] + [(2, 18), (2, 30), (2, 33)]:
+        first = search_near_modular(ell, max_element, first_only=True, workers=2)
+        assert first == search_near_modular(ell, max_element)[:1], (ell, max_element)
 
 
 def test_search_budget_enforced():
@@ -251,8 +259,8 @@ def test_search_budget_enforced():
 
 
 def test_prefix_split_stops_at_the_budget(monkeypatch):
-    # The first v1 row alone holds thousands of prefix nodes, so a budget
-    # of 5 raises before a second row is admitted.
+    # The split counts its thousands of v1 candidates in one step, so a
+    # budget of 5 raises before any element is admitted.
     admitted = []
     admit = modsets._admit
 
@@ -263,28 +271,33 @@ def test_prefix_split_stops_at_the_budget(monkeypatch):
     monkeypatch.setattr(modsets, "_admit", spy)
     with pytest.raises(BudgetExceededError, match=r"\(5\)"):
         search_near_modular(1, 3000, budget=5)
-    assert len(admitted) <= 1
+    assert admitted == []
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_branch_search_matches_oracle(data):
     # Same sets and the same node count, branch by branch, as re-checking
-    # every pair for every candidate.
+    # every pair for every candidate, for every sharing interval.
     ell = data.draw(st.sampled_from([1, 2]), label="ell")
     modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
     max_element = data.draw(st.integers(size - 1, 36), label="max_element")
     prefixes, _ = naive_search_prefixes(ell, max_element)
-    if not prefixes:
-        return
     prefix = data.draw(st.sampled_from(prefixes), label="prefix")
-    want = naive_branch_search(prefix, modulus, size, max_element)
-    nodes = want[1]
-    # A branch may spend budget - spent nodes and not one more.
-    job = (prefix, modulus, size, max_element, nodes + 1, 1)
-    assert modsets._branch_search(job) == want
-    with pytest.raises(BudgetExceededError):
-        modsets._branch_search(job[:4] + (nodes, 1))
+    first_only = data.draw(st.booleans(), label="first_only")
+    spent = data.draw(st.integers(0, 100), label="spent")
+    share = data.draw(st.sampled_from([1, 5, 1 << 14]), label="share")
+    found, nodes = naive_branch_search(prefix, modulus, size, max_element, first_only)
+    # The counter holds what was spent before the branch; the branch adds
+    # its nodes, and one node less of budget raises.
+    job = (prefix, modulus, size, max_element, spent + nodes, first_only)
+    with mock.patch.object(modsets, "_SHARE_NODES", share):
+        counter = multiprocessing.Value("q", spent)
+        assert modsets._branch_search(job, counter) == found
+        assert counter.value == spent + nodes
+        counter.value = spent
+        with pytest.raises(BudgetExceededError):
+            modsets._branch_search(job[:4] + (spent + nodes - 1, first_only), counter)
 
 
 @pytest.mark.parametrize("ell, max_element", [(1, 7), (1, 35), (2, 18), (2, 36)])
@@ -302,34 +315,51 @@ def test_only_progression_free_sets_reach_coverage(ell, max_element):
                    for x in full for y in full for z in full), full
 
 
-@pytest.mark.parametrize("ell, max_element", [(2, 18), (1, 12)])
+@pytest.mark.parametrize(
+    "ell, max_element", [(2, 18), (1, 12), (1, 3), (1, 4), (2, 7), (2, 30)]
+)
 def test_search_budget_threshold_is_exact(monkeypatch, ell, max_element):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     total = naive_search_nodes(ell, max_element)
+    want = search_near_modular(ell, max_element)
     for workers in (1, 2):
-        assert search_near_modular(ell, max_element, budget=total, workers=workers)
+        assert search_near_modular(ell, max_element, budget=total, workers=workers) == want
         with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
             search_near_modular(ell, max_element, budget=total - 1, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "ell, max_element", [(1, 3), (1, 4), (1, 12), (1, 44), (2, 18), (2, 33), (3, 40)]
+)
+def test_first_only_budget_threshold_is_exact(ell, max_element):
+    # A first-only search counts its nodes up to its hit and no further.
+    total = naive_search_nodes(ell, max_element, first_only=True)
+    search_near_modular(ell, max_element, budget=total, first_only=True)
+    with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
+        search_near_modular(ell, max_element, budget=total - 1, first_only=True)
+
+
 def test_serial_branches_share_one_budget(monkeypatch):
-    # Each serial branch is capped at what the prefix split and the
-    # earlier branches left of the budget.
+    # Every serial branch is handed the search's one counter, which holds
+    # what the split and the earlier branches spent when it starts, and
+    # no module global is set.
     seen = []
     branch = modsets._branch_search
 
-    def spy(args):
-        found, nodes = branch(args)
-        seen.append((args[4], args[5], nodes))
-        return found, nodes
+    def spy(job, counter):
+        seen.append((job[4], counter, counter.value))
+        return branch(job, counter)
 
     monkeypatch.setattr(modsets, "_branch_search", spy)
     search_near_modular(2, 18, budget=10**6)
     prefixes, spent = naive_search_prefixes(2, 18)
     assert len(seen) == len(prefixes)
-    for budget, given, nodes in seen:
-        assert (budget, given) == (10**6, spent)
-        spent += nodes
+    assert len({id(counter) for _, counter, _ in seen}) == 1
+    for (budget, _, value), prefix in zip(seen, prefixes):
+        assert (budget, value) == (10**6, spent)
+        spent += naive_branch_search(prefix, 27, 8, 18)[1]
+    assert seen[0][1].value == spent
+    assert modsets._pool_nodes is None
 
 
 _BRANCH_LOG = ""  # file the pool branches below append to; fork workers inherit it
@@ -337,21 +367,22 @@ _SLOW_PREFIX = ()  # branches from this prefix on sleep before searching
 _unlogged_branch = modsets._branch_search
 
 
-def _logged_branch(args):
+def _logged_branch(job, counter):
     with open(_BRANCH_LOG, "a") as log:
-        log.write(f"{args[5]},{modsets._pool_nodes is not None}\n")
-    if args[0] >= _SLOW_PREFIX:
+        log.write(f"{job[4]},{counter is not None and counter is modsets._pool_nodes}\n")
+    if job[0] >= _SLOW_PREFIX:
         time.sleep(1)
-    return _unlogged_branch(args)
+    return _unlogged_branch(job, counter)
 
 
 def test_pool_search_cancels_branches_after_an_overrun(monkeypatch, tmp_path):
-    # Each pool branch shares one node counter and may spend only what the
-    # prefix split left, here one node, so the first branch overruns at
-    # once.  The later branches are slowed so that the overrun is read
-    # while they are in flight.  Only the branches the pool has already
-    # handed out may still start: one running per worker and the
-    # workers + 1 calls it keeps queued, not all 380.
+    # Each pool branch reports to the counter the initializer installed,
+    # which starts at what the split spent; the budget leaves one node
+    # more, so the first branch overruns at once.  The later branches are
+    # slowed so that the overrun is read while they are in flight.  Only
+    # the branches the pool has already handed out may still start: one
+    # running per worker and the workers + 1 calls it keeps queued, not
+    # all 29.
     prefixes, spent = naive_search_prefixes(2, 36)
     log = tmp_path / "branches"
     monkeypatch.setattr(f"{__name__}._BRANCH_LOG", str(log))
@@ -361,25 +392,43 @@ def test_pool_search_cancels_branches_after_an_overrun(monkeypatch, tmp_path):
     with pytest.raises(BudgetExceededError, match=rf"\({spent + 1}\)"):
         search_near_modular(2, 36, budget=spent + 1, workers=2)
     given = log.read_text().split()
-    assert set(given) == {f"{spent},True"}
+    assert set(given) == {f"{spent + 1},True"}
     assert len(given) <= 1 + 2 + 3 < len(prefixes)
+    assert modsets._pool_nodes is None
 
 
 def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
-    # A pool branch adds its nodes to the counter every branch shares, and
-    # raises once the counter passes the budget, below its own cap too.
+    # A pool branch reports to the installed counter.  It raises once what
+    # it last read there plus its own nodes pass the budget, though its
+    # own nodes alone would not, and adds its nodes before it raises.
     prefixes, spent = naive_search_prefixes(2, 36)
     prefix = prefixes[0]
-    nodes = naive_branch_search(prefix, 27, 8, 36)[1]
-    job = (prefix, 27, 8, 36, spent + nodes, spent)
+    found, nodes = naive_branch_search(prefix, 27, 8, 36)
+    job = (prefix, 27, 8, 36, spent + nodes, False)
     counter = multiprocessing.Value("q", spent)
     monkeypatch.setattr(modsets, "_pool_nodes", counter)
-    assert modsets._branch_search(job)[1] == nodes
+    assert modsets._pool_branch(job) == found
     assert counter.value == spent + nodes
     counter.value = spent + 1  # another branch has spent one node
     with pytest.raises(BudgetExceededError):
-        modsets._branch_search(job)
-    assert counter.value == spent + 1 + nodes
+        modsets._pool_branch(job)
+    assert counter.value == spent + 1 + nodes  # it overran on its last node
+    # Another branch spends as much again while this one runs, after its
+    # first share.  The branch reads that at its next share, every
+    # _SHARE_NODES nodes, and stops within one more row of candidates.
+    counter.value = spent
+    admit = modsets._admit
+
+    def busy_admit(open_, chosen, y, modulus):
+        if spent < counter.value < spent + nodes:
+            counter.value += nodes
+        return admit(open_, chosen, y, modulus)
+
+    monkeypatch.setattr(modsets, "_admit", busy_admit)
+    monkeypatch.setattr(modsets, "_SHARE_NODES", 64)
+    with pytest.raises(BudgetExceededError):
+        modsets._pool_branch(job)
+    assert spent + nodes < counter.value < spent + nodes + 64 + 2 * 36 < spent + 2 * nodes
 
 
 def test_search_degenerate_bounds():
