@@ -92,67 +92,3 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "APWitness",
-    "AnalysisResult",
-    "Basis",
-    "BasisRecipe",
-    "BasisReport",
-    "BudgetExceededError",
-    "CharacterPlan",
-    "ComposedSystem",
-    "CoverageEntry",
-    "CoverageMap",
-    "Decomposition",
-    "DuplicateSumError",
-    "ExploredBasis",
-    "FamilyEntry",
-    "FamilyRecipe",
-    "GreedySequence",
-    "GrowthReport",
-    "GrowthSample",
-    "IdentityViolation",
-    "IndependenceCertificate",
-    "IndependenceReport",
-    "InsufficientTermsError",
-    "InvalidSeedError",
-    "InvalidSystemError",
-    "ModSetReport",
-    "ModSetViolation",
-    "NearModularSet",
-    "NotModularError",
-    "NotRealizableError",
-    "NotRepresentableError",
-    "OverflowLimitError",
-    "PlanVerificationError",
-    "StanleyError",
-    "analyze_independence",
-    "character_at",
-    "compose",
-    "compose_system",
-    "decompose",
-    "expand_basis",
-    "expand_modular",
-    "explore_basic_characters",
-    "family_modulus",
-    "family_set",
-    "family_table",
-    "generate",
-    "growth_stats",
-    "has_3ap",
-    "is_admissible",
-    "minimal_generating_prefix",
-    "modularize",
-    "plan_character",
-    "plan_seed",
-    "realize_plan",
-    "residue_coverage",
-    "search_near_modular",
-    "validate_seed",
-    "verify_basis",
-    "verify_modular",
-    "verify_near_modular",
-    "verify_plan",
-    "zero_sequence_value",
-]

@@ -28,13 +28,19 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
+from .core import _integers
 from .errors import (
+    BudgetExceededError,
     DuplicateSumError,
     InvalidSystemError,
     NotModularError,
     NotRepresentableError,
 )
 from .modsets import NearModularSet, verify_modular, verify_near_modular
+
+# Largest cover modularize builds: one of 2**15 elements takes about 26 s
+# on a 2-core x86 host, and each doubling quadruples the modular check.
+COVER_CAP = 2**15
 
 
 def _v3(n: int) -> int:
@@ -208,7 +214,7 @@ def compose_system(
     """
     if ell < 0:
         raise InvalidSystemError("ell must be nonnegative")
-    elements = tuple(sorted(int(v) for v in a_set))
+    elements = tuple(sorted(_integers(a_set)))
     if len(elements) != 2**ell:
         raise InvalidSystemError(
             f"set size {len(elements)} differs from 2**ell = {2**ell}"
@@ -262,8 +268,15 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
     L = { a + sum(delta_k * b_k, k < n0) } taken modulo 3**(n0 + ell)
     tiles the full composition: compose(sys) = L + modulus * S({0}).
     A repeated value and the modularity of L are checked exhaustively
-    here, and a failure is an invariant violation, reported loudly.
+    here, and a failure is an invariant violation, reported loudly.  A
+    cover of more than COVER_CAP elements raises BudgetExceededError
+    before any sum is built.
     """
+    size = len(sys.a_set) << sys.n0
+    if size > COVER_CAP:
+        raise BudgetExceededError(
+            f"cover of {size} elements exceeds the cap of {COVER_CAP}"
+        )
     prefix = [sys.basis.element(k) for k in range(sys.n0)]
     values = _expand(sys.a_set, prefix, (), None, None)
     modulus = sys.modulus
@@ -290,7 +303,7 @@ def expand_modular(
     verification fails.
     """
     _check_bounds(count, limit)
-    values = [int(v) for v in elements]  # read once, for the check and the merge
+    values = _integers(elements)  # read once, for the check and the merge
     report = verify_modular(values, modulus)
     if report.verdict != "modular":
         raise NotModularError(

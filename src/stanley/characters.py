@@ -18,12 +18,12 @@ Either recipe becomes a composed system (basis.compose_system) in one
 place, CharacterPlan.system, built once per plan.  A family recipe pairs
 the shifted family set with the all-powers tail basis; a basis recipe is
 the degenerate system A = {0}, ell = 0, whose composition is the
-subset-sum expansion of the head and powers.
-modularize gives every plan its finite modular cover and compose its
-realization.  Each plan is cross-checked against the greedy generator
-itself: the realization is reproduced term by term from the cover, then
-re-analyzed for independence, and the certificate's character must equal
-the target exactly.
+subset-sum expansion of the head and powers.  CharacterPlan.cover, its
+modularize cover, is likewise built and verified once per plan; compose
+gives the realization.  verify_plan is the one certifier: it reproduces
+the realization term by term from the cover with the greedy generator
+itself, re-analyzes it for independence, and insists the certificate's
+character equals the target exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ from .modsets import FAMILY_INDICES, NearModularSet, _worker_count, family_set
 # Unused here; perfbench/tests/test_perfbench.py asserts this name is modsets' function.
 from .modsets import verify_modular  # noqa: F401
 
-EXCLUDED_MODULUS = 486
-EXCLUDED_RESIDUE = 244
+# Targets 4 (mod 6) with 3**k dividing target - 1, k one past the family
+# table, have no recipe: target = 3**k + 1 (mod 2 * 3**k), 244 mod 486.
+_GAP_INDEX = max(FAMILY_INDICES) + 1
+EXCLUDED_MODULUS = 2 * 3**_GAP_INDEX
+EXCLUDED_RESIDUE = 3**_GAP_INDEX + 1
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,11 @@ class CharacterPlan:
             return compose_system(elements, ell=recipe.index + 1)
         return compose_system((0,), ell=0, head=recipe.head)
 
+    @cached_property
+    def cover(self) -> NearModularSet:
+        """The modularize cover of the system, built and verified once per plan."""
+        return modularize(self.system)
+
 
 def _basis_head_for(mu: int) -> tuple[int, ...]:
     # Offsets c_p = l_p - 1 in {0, 1, 3, 4, 6, 7} with sum(c_p * 3**p) = mu,
@@ -103,9 +111,10 @@ def _family_parts(target: int) -> tuple[int, str, int]:
     # target = 4 (mod 6): target - 1 = q * 3**i with q coprime to 3 and
     # odd, so q = 1 or 5 (mod 6) picks the side and j pays the rest.
     i = _v3(target - 1)
-    if i > max(FAMILY_INDICES):
+    if i >= _GAP_INDEX:
         raise NotRealizableError(
-            f"{target} = 244 (mod 486) is not covered by this construction",
+            f"{target} = {EXCLUDED_RESIDUE} (mod {EXCLUDED_MODULUS}) "
+            f"is not covered by this construction",
             reason="residue-244",
         )
     q = (target - 1) // 3**i
@@ -157,13 +166,8 @@ def _check_emitted_head(plan: CharacterPlan) -> None:
 
 
 def plan_seed(plan: CharacterPlan) -> NearModularSet:
-    """Finite modular cover of the plan's realization.
-
-    This is modularize of the plan's composed system.  The cover
-    regenerates the full realization greedily, which verify_plan checks
-    term by term.
-    """
-    return modularize(plan.system)
+    """The plan's modular cover, ``plan.cover``, whose greedy run verify_plan checks."""
+    return plan.cover
 
 
 def realize_plan(
@@ -185,16 +189,9 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     that exceeds ``depth``, so the certificate always reaches the level
     where the block structure locks in.
     """
-    return _certify(plan, plan_seed(plan), depth)
-
-
-def _certify(
-    plan: CharacterPlan, cover: NearModularSet, depth: int
-) -> structure.IndependenceCertificate:
-    # verify_plan's checks against a cover already built by plan_seed, so a
-    # caller that also reports the cover builds and verifies it only once.
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    cover = plan.cover
     block_scale = len(cover.elements).bit_length() - 1
     eff_depth = max(depth, block_scale)
     n_terms = 2 ** (eff_depth + 1)

@@ -29,7 +29,7 @@ Exit codes are part of the contract:
   244 mod 486 class).
 * 2: input error (malformed seed, odd or negative character target,
   nonsensical bounds).
-* 3: resource limit (node budget, value overflow, out of memory).
+* 3: resource limit (node budget, cover cap, value overflow, out of memory).
 
 A reader that closes stdout early (``stanley gen ... | head``) is not an
 error: the run stops writing and exits 0 with nothing on stderr.
@@ -241,7 +241,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
 def _cmd_character(args: argparse.Namespace) -> Report:
     plan = characters.plan_character(args.target)
     cover = characters.plan_seed(plan)
-    cert = characters._certify(plan, cover, args.depth)
+    cert = characters.verify_plan(plan, args.depth)
     terms = characters.realize_plan(plan, count=args.count) if args.count else None
     kind = "basis" if isinstance(plan.recipe, characters.BasisRecipe) else "family"
     recipe = asdict(plan.recipe)
@@ -406,27 +406,37 @@ def run(args: argparse.Namespace) -> int:
     return report.code
 
 
+def _attach_list_values(argv: Sequence[str]) -> list[str]:
+    # argparse reads a value such as "-1,0" as an unknown option, so an
+    # integer list that starts with a minus sign is attached to its option.
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--seed", "--elements") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_list_values(argv))
     try:
         return run(args)
     except BrokenPipeError:
         return EXIT_OK
-    except NotRealizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDING if exc.reason == "residue-244" else EXIT_INPUT
-    except (PlanVerificationError, NotModularError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDING
-    except (BudgetExceededError, OverflowLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_RESOURCE
     except (StanleyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (BudgetExceededError, OverflowLimitError)):
+            return EXIT_RESOURCE
+        if isinstance(exc, (PlanVerificationError, NotModularError)) or (
+            isinstance(exc, NotRealizableError) and exc.reason == "residue-244"
+        ):
+            return EXIT_FINDING
         return EXIT_INPUT
 
 

@@ -101,6 +101,18 @@ def _member_mask(members: np.ndarray, bound: int):
     return member
 
 
+def _integers(values: Iterable[int], what: str = "elements", error=ValueError) -> list[int]:
+    # The integer rule of every entry point: operator.index takes ints and
+    # numpy integers but refuses floats and strings; bools are refused too.
+    out = list(values)
+    try:
+        if bool not in set(map(type, out)):
+            return list(map(operator.index, out))
+    except TypeError:
+        pass
+    raise error(f"{what} must be plain integers")
+
+
 def has_3ap(elements: Iterable[int]) -> APWitness | None:
     """Return a witness progression inside ``elements``, or None.
 
@@ -111,7 +123,7 @@ def has_3ap(elements: Iterable[int]) -> APWitness | None:
     blocks of B rows.  A span too wide for int64 runs the same blocks on
     Python ints, so the answer is exact for any integers.
     """
-    values = sorted(set(elements))
+    values = sorted(set(_integers(elements)))
     n = len(values)
     if n < 3:
         return None
@@ -167,12 +179,7 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
     raw = list(seed)
     if not raw:
         raise InvalidSeedError("seed is empty")
-    if any(isinstance(v, bool) for v in raw):
-        raise InvalidSeedError("seed entries must be plain integers")
-    try:
-        values = [operator.index(v) for v in raw]
-    except TypeError:
-        raise InvalidSeedError("seed entries must be plain integers") from None
+    values = _integers(raw, "seed entries", InvalidSeedError)
     if len(set(values)) != len(values):
         raise InvalidSeedError("seed contains duplicate elements")
     ordered = tuple(sorted(values))
@@ -319,7 +326,7 @@ def minimal_generating_prefix(terms: Sequence[int]) -> int:
     term), so a binary search over the prefix length is sound.  The full
     sequence is always a working prefix of itself.
     """
-    values = tuple(int(v) for v in terms)
+    values = tuple(_integers(terms))
     if not values or values[0] != 0:
         raise ValueError("sequence must start at 0")
 

@@ -68,4 +68,4 @@ class PlanVerificationError(StanleyError):
 
 
 class BudgetExceededError(StanleyError):
-    """Search or exploration ran past its node budget."""
+    """A search or exploration ran past its node budget, or a cover past its cap."""

@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, _member_mask
+from .core import _BLOCK_CELLS, _integers, _member_mask
 from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -87,7 +87,7 @@ class NearModularSet:
 
 
 def _canonical(elements: Iterable[int]) -> tuple[int, ...]:
-    values = sorted(int(v) for v in elements)
+    values = sorted(_integers(elements))
     if len(set(values)) != len(values):
         raise ValueError("elements must be distinct")
     if values and values[0] < 0:
@@ -156,17 +156,21 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
     return ModSetViolation("uncovered-residue", (int(np.argmin(covered)),))
 
 
-def _prelude(
-    elements: Iterable[int], modulus: int
-) -> tuple[tuple[int, ...], ModSetViolation | None]:
-    # The start both verifications share: the canonical values, and the
-    # missing-zero violation when 0 is absent.
+def _verify(elements: Iterable[int], modulus: int, near: bool) -> ModSetReport:
+    # Both verifications: 0 must be present, every element must lie below
+    # the modulus unless ``near``, and then no mod-AP or uncovered residue.
     if modulus < 1:
         raise ValueError("modulus must be positive")
     values = _canonical(elements)
     if not values or values[0] != 0:
-        return values, ModSetViolation("missing-zero")
-    return values, None
+        return ModSetReport("invalid", ModSetViolation("missing-zero"))
+    outside = tuple(v for v in values if v >= modulus)
+    if outside and not near:
+        return ModSetReport("invalid", ModSetViolation("out-of-range", outside))
+    violation = _first_violation(values, modulus)
+    if violation is not None:
+        return ModSetReport("invalid", violation)
+    return ModSetReport("near-modular-only" if outside else "modular")
 
 
 def verify_near_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
@@ -176,27 +180,12 @@ def verify_near_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
     "near-modular-only" when some element sticks out, "invalid" with the
     first violation otherwise.
     """
-    values, violation = _prelude(elements, modulus)
-    if violation is None:
-        violation = _first_violation(values, modulus)
-    if violation is not None:
-        return ModSetReport("invalid", violation)
-    verdict = "modular" if values[-1] < modulus else "near-modular-only"
-    return ModSetReport(verdict)
+    return _verify(elements, modulus, near=True)
 
 
 def verify_modular(elements: Iterable[int], modulus: int) -> ModSetReport:
     """Like verify_near_modular but elements must also lie in [0, modulus)."""
-    values, violation = _prelude(elements, modulus)
-    if violation is None:
-        outside = tuple(v for v in values if v >= modulus)
-        if outside:
-            violation = ModSetViolation("out-of-range", outside)
-        else:
-            violation = _first_violation(values, modulus)
-    if violation is not None:
-        return ModSetReport("invalid", violation)
-    return ModSetReport("modular")
+    return _verify(elements, modulus, near=False)
 
 
 def zero_sequence_value(n: int) -> int:

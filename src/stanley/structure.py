@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import GreedySequence
+from .core import GreedySequence, _integers
 from .errors import InsufficientTermsError
 
 LOG2_3 = math.log2(3.0)
@@ -72,7 +72,7 @@ AnalysisResult = Union[IndependenceCertificate, IndependenceReport]
 def _terms_of(seq) -> tuple[int, ...]:
     if isinstance(seq, GreedySequence):
         return seq.terms
-    return tuple(int(v) for v in seq)
+    return tuple(_integers(seq))
 
 
 def character_at(seq, k: int) -> int:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from stanley import (
     Basis,
+    BudgetExceededError,
     ComposedSystem,
     Decomposition,
     DuplicateSumError,
@@ -23,6 +24,8 @@ from stanley import (
     verify_modular,
     zero_sequence_value,
 )
+
+from stanley import basis
 
 from .naive import naive_expansion, naive_subset_sums
 
@@ -262,6 +265,19 @@ def test_compose_modularize_and_expand_modular_match_the_naive_expansion(element
         naive_expansion(cover.elements, powers),
         cover.modulus * 3**4,
     )
+
+
+def test_modularize_refuses_covers_past_the_cap(monkeypatch):
+    # The check reads |A| * 2**n0 off the system: the cap itself passes,
+    # one doubling past it raises before the kernel runs.
+    sys2 = compose_system(family_set(2, "A"), ell=3)
+    size = len(sys2.a_set) << sys2.n0
+    monkeypatch.setattr(basis, "COVER_CAP", size)
+    assert len(modularize(sys2).elements) == size
+    monkeypatch.setattr(basis, "COVER_CAP", size // 2)
+    monkeypatch.setattr(basis, "_expand", None)
+    with pytest.raises(BudgetExceededError, match=f"cover of {size} elements exceeds the cap of {size // 2}"):
+        modularize(sys2)
 
 
 def test_hand_built_systems_with_a_collision_raise():

@@ -158,22 +158,39 @@ def test_plans_targets_with_a_thousand_ternary_digits():
         assert plan.recipe == BasisRecipe((first,) + powers + (2 * 3**1000,))
 
 
+def _spy(monkeypatch, module, name):
+    # Replace module.name by a wrapper that logs each call's arguments.
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("lam", [300, 40, 1540])
 @pytest.mark.parametrize("count", [[], ["--count", "40"]])
 def test_character_builds_its_system_once(monkeypatch, capsys, lam, count):
     # plan_seed, the certificate and the realization share the plan's one
-    # composed system.
-    calls = []
-    build = characters.compose_system
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(characters, "compose_system", spy)
+    # composed system, and the seed and the certificate its one cover.
+    systems = _spy(monkeypatch, characters, "compose_system")
+    covers = _spy(monkeypatch, characters, "modularize")
     assert main(["character", "--lambda", str(lam), *count]) == 0
     assert str(lam) in capsys.readouterr().out
-    assert len(calls) == 1
+    assert (len(systems), len(covers)) == (1, 1)
+
+
+@pytest.mark.parametrize("lam", [8, 40, 1540])
+def test_plan_seed_and_verify_plan_share_one_cover(monkeypatch, lam):
+    covers = _spy(monkeypatch, characters, "modularize")
+    plan = plan_character(lam)
+    cover = plan_seed(plan)
+    assert verify_plan(plan).character == lam
+    assert plan_seed(plan) is cover is plan.cover
+    assert covers == [(plan.system,)]
 
 
 def test_plan_seed_is_modular_cover():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stanley import cli, core
+from stanley import basis, cli, core
 from stanley.cli import (
     EXIT_FINDING,
     EXIT_INPUT,
@@ -527,6 +528,25 @@ def test_character_excluded_class(capsys):
     assert "not covered" in err
 
 
+@pytest.mark.parametrize("power", [60, 15])
+def test_character_cover_past_the_cap_is_a_resource_exit(capsys, power):
+    # lam = 2 * 3**power plans the head (1, 3, ..., 3**(power-1), 2 * 3**power),
+    # whose cover of 2**(power+1) sums is refused before any is built.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "character", "--lambda", str(2 * 3**power))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == (
+        f"error: cover of {2 ** (power + 1)} elements exceeds the cap of {basis.COVER_CAP}\n"
+    )
+    assert elapsed < 1 and peak < 8 * 2**20
+
+
 def test_character_bad_targets(capsys):
     for target in ("9", "-2"):
         code, _, err = run_cli(capsys, "character", "--lambda", target)
@@ -631,6 +651,16 @@ def test_argparse_requires_seed():
     with pytest.raises(SystemExit) as e:
         main(["gen", "--count", "4"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--seed", "-1,0", "--count", "4"], "seed contains negative element -1"),
+    (["modset", "--elements", "-1,2", "--modulus", "9"], "elements must be nonnegative"),
+], ids=["seed", "elements"])
+def test_integer_lists_may_start_with_a_minus_sign(capsys, argv, message):
+    # argparse took "-1,0" for an option and stopped with "expected one
+    # argument"; the list now reaches its own validation.
+    assert run_cli(capsys, *argv) == (EXIT_INPUT, "", f"error: {message}\n")
 
 
 def test_positivity_validation(capsys):

@@ -12,11 +12,16 @@ from stanley import (
     APWitness,
     InvalidSeedError,
     OverflowLimitError,
+    character_at,
+    compose_system,
+    expand_modular,
     generate,
     has_3ap,
     is_admissible,
     minimal_generating_prefix,
     validate_seed,
+    verify_modular,
+    verify_near_modular,
     zero_sequence_value,
 )
 
@@ -175,6 +180,25 @@ def test_seed_validation_errors():
     except InvalidSeedError as e:
         err = e
     assert err is not None and err.witness == APWitness(0, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [2.9, True, "5"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call", [
+    lambda v: has_3ap([0, v, 3]),
+    lambda v: verify_modular([0, v, 5, 6], 9),
+    lambda v: verify_near_modular([0, v, 5, 6], 9),
+    lambda v: compose_system([0, v, 5, 6], 2),
+    lambda v: expand_modular([0, v, 5, 6], 9, count=8),
+    lambda v: minimal_generating_prefix([0, v, 5, 6]),
+    lambda v: character_at([0, v, 5, 6, 9], 1),
+], ids=["has_3ap", "verify_modular", "verify_near_modular", "compose_system", "expand_modular",
+        "minimal_generating_prefix", "character_at"])
+def test_entry_points_refuse_non_integers(call, bad):
+    # int() once truncated 2.9 to 2, so (0, 2.9, 5, 6) passed as modular
+    # mod 9 and (0, 1.5, 3) as free of progressions.
+    with pytest.raises(ValueError, match="must be plain integers"):
+        call(bad)
+    call(np.int64(2))  # numpy integers are integers
 
 
 def test_validate_seed_sorts():
