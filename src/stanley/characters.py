@@ -31,7 +31,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Union
 
@@ -295,23 +295,29 @@ _EXPLORE_DEPTH = 5
 _EXPLORE_TERMS = 2 ** (_EXPLORE_DEPTH + 1)
 
 
-def _explore_candidate(args) -> tuple[tuple[int, ...], str, tuple[int, ...] | None]:
-    head, tail_kind = args
-    basis = Basis(head, geometric_tail=(tail_kind == "geometric"))
-    try:
-        expansion = expand_basis(basis, count=_EXPLORE_TERMS)
-    except DuplicateSumError:
-        return head, tail_kind, None
-    first_tail = basis.element(len(head))
-    prefix = tuple(v for v in expansion if v < first_tail)
-    try:
-        # generate validates the prefix as a seed: one has_3ap pass.
-        greedy = core.generate(prefix, count=len(expansion))
-    except InvalidSeedError:
-        return head, tail_kind, None
-    if list(greedy.terms) != expansion:
-        return head, tail_kind, None
-    return head, tail_kind, tuple(expansion)
+def _explore_branch(job) -> list[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+    # The (head, tail, expansion) survivors among the heads of one length
+    # and first entry, in lexicographic order, the power tail first.
+    length, first, max_entry = job
+    power = 3 ** (length - 1)
+    survivors = []
+    for rest in combinations(range(first + 1, max_entry + 1), length - 1):
+        head = (first, *rest)
+        # The geometric tail coincides with the power tail when the last
+        # entry is already the exact power; skip the duplicate.
+        for tail_kind in ("power",) if head[-1] == power else ("power", "geometric"):
+            basis = Basis(head, geometric_tail=(tail_kind == "geometric"))
+            try:
+                expansion = expand_basis(basis, count=_EXPLORE_TERMS)
+                first_tail = basis.element(length)
+                prefix = tuple(v for v in expansion if v < first_tail)
+                # generate validates the prefix as a seed: one has_3ap pass.
+                greedy = core.generate(prefix, count=len(expansion))
+            except (DuplicateSumError, InvalidSeedError):
+                continue
+            if list(greedy.terms) == expansion:
+                survivors.append((head, tail_kind, tuple(expansion)))
+    return survivors
 
 
 def explore_basic_characters(
@@ -329,13 +335,18 @@ def explore_basic_characters(
     observational and makes no completeness claim; this is where odd
     characters (such as 7, from the head (1, 7, 10) continued
     geometrically) become visible.  ``budget`` caps the number of
-    candidate expansions; no more than ``workers`` processes start, nor
-    more than there are candidates or usable CPUs.
+    candidate expansions.  The survey splits once, into one branch per
+    head length and first entry; each hands back only its survivors, so
+    memory grows with the survivors, not the candidates, and results are
+    identical for every worker count.  No more than ``workers`` processes
+    start, nor more than there are branches or usable CPUs.
     """
     if head_length < 1 or max_entry < 1:
         raise ValueError("bounds must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
+    # A strictly increasing head in [1, max_entry] has at most max_entry entries.
+    head_length = min(head_length, max_entry)
     if budget is not None:
         # Every head comes with both tails, except a head ending in the
         # exact power 3**(length - 1): comb(p - 1, length - 1) such heads.
@@ -349,37 +360,24 @@ def explore_basic_characters(
             raise BudgetExceededError(
                 f"{total} candidate heads exceed the budget {budget}"
             )
-    candidates: list[tuple[tuple[int, ...], str]] = []
-    for length in range(1, head_length + 1):
-        for head in combinations(range(1, max_entry + 1), length):
-            candidates.append((head, "power"))
-            # The geometric tail coincides with the power tail when the
-            # last entry is already the exact power; skip the duplicate.
-            if head[-1] != 3 ** (length - 1):
-                candidates.append((head, "geometric"))
+    jobs = [(length, first, max_entry)
+            for length in range(1, head_length + 1)
+            for first in range(1, max_entry - length + 2)]
 
-    workers = _worker_count(workers, len(candidates))
+    workers = _worker_count(workers, len(jobs))
     if workers == 1:
-        raw = map(_explore_candidate, candidates)
+        branches = map(_explore_branch, jobs)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        raw = pool.map(_explore_candidate, candidates, chunksize=8)
+        with ProcessPoolExecutor(workers) as pool:
+            branches = list(pool.map(_explore_branch, jobs, chunksize=1))
 
     results: list[ExploredBasis] = []
     seen: set[tuple[int, ...]] = set()
-    try:
-        for head, tail_kind, expansion in raw:
-            if expansion is None or expansion in seen:
-                continue
-            seen.add(expansion)
-            outcome = structure.analyze_independence(expansion, _EXPLORE_DEPTH)
-            if outcome.independent:
-                results.append(
-                    ExploredBasis(head, tail_kind, True, outcome.character, outcome.chi)
-                )
-            else:
-                results.append(ExploredBasis(head, tail_kind, False, None, None))
-    finally:
-        if workers > 1:
-            pool.shutdown()
+    for head, tail_kind, expansion in chain.from_iterable(branches):
+        if expansion in seen:
+            continue
+        seen.add(expansion)
+        outcome = structure.analyze_independence(expansion, _EXPLORE_DEPTH)
+        found = (outcome.character, outcome.chi) if outcome.independent else (None, None)
+        results.append(ExploredBasis(head, tail_kind, outcome.independent, *found))
     return results

@@ -34,14 +34,15 @@ Exit codes are part of the contract:
 A reader that closes stdout early (``stanley gen ... | head``) is not an
 error: the run stops writing and exits 0 with nothing on stderr.
 
-The environment variable STANLEY_NODE_BUDGET overrides the default
-search and exploration budget of 10**8 nodes; an explicit --budget flag
-wins over both.
+STANLEY_NODE_BUDGET overrides the default budget of 10**8 search nodes
+for ``search`` and candidate heads for ``explore``; an explicit --budget
+flag wins over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -321,7 +322,9 @@ def _cmd_families(args: argparse.Namespace) -> Report:
 # Argument plumbing.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="stanley",
         description="Greedy 3-AP-free sequence toolkit.",

@@ -69,12 +69,10 @@ class APWitness:
 
 @dataclass(frozen=True)
 class GreedySequence:
-    """Result of a greedy run: the seed, the terms, and the bounds used."""
+    """Result of a greedy run: the seed and the terms."""
 
     seed: tuple[int, ...]
     terms: tuple[int, ...]
-    count_bound: int | None = None
-    value_bound: int | None = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -315,7 +313,7 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
         base = top
         size = _WINDOW if limit is None else min(_WINDOW, limit + 1 - base)
 
-    return GreedySequence(seed_t, tuple(terms), count, limit)
+    return GreedySequence(seed_t, tuple(terms))
 
 
 def minimal_generating_prefix(terms: Sequence[int]) -> int:

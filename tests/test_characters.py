@@ -1,7 +1,9 @@
 """Planner, realization cross-check, residue coverage, exploration."""
 
 import json
+import os
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -10,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanley import (
+    Basis,
     BasisRecipe,
     BudgetExceededError,
     FamilyRecipe,
     NotRealizableError,
     PlanVerificationError,
     analyze_independence,
+    expand_basis,
     explore_basic_characters,
     generate,
     plan_character,
@@ -421,8 +425,64 @@ def test_explore_budget_counts_every_candidate(head_length, max_entry):
 def test_explore_budget_and_workers():
     with pytest.raises(BudgetExceededError):
         explore_basic_characters(3, 10, budget=10)
-    solo = explore_basic_characters(2, 9, workers=1)
-    multi = explore_basic_characters(2, 9, workers=3)
-    assert solo == multi
+    for head_length, max_entry in [(2, 9), (3, 12), (4, 10)]:
+        solo = explore_basic_characters(head_length, max_entry, workers=1)
+        multi = explore_basic_characters(head_length, max_entry, workers=3)
+        assert solo == multi, (head_length, max_entry)
     with pytest.raises(ValueError):
         explore_basic_characters(0, 5)
+
+
+def test_explore_pool_maps_one_branch_per_length_and_first_entry(monkeypatch):
+    # No process starts: the pool runs in this process and records the
+    # jobs it maps and what each returns.
+    returned = []
+
+    class FakePool:
+        def __init__(self, max_workers, **options):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            for job in jobs:
+                returned.append((job, fn(job)))
+                yield returned[-1][1]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
+    results = explore_basic_characters(2, 9, workers=2)
+    assert [job for job, _ in returned] == (
+        [(1, first, 9) for first in range(1, 10)] + [(2, first, 9) for first in range(1, 9)]
+    )
+    # Every returned entry is a survivor: its expansion is the basis
+    # expansion, reproduced by the greedy generator from the sub-tail prefix.
+    entries = [entry for _, found in returned for entry in found]
+    for head, tail, expansion in entries:
+        basis = Basis(head, geometric_tail=(tail == "geometric"))
+        assert list(expansion) == expand_basis(basis, count=len(expansion))
+        prefix = [v for v in expansion if v < basis.element(len(head))]
+        assert generate(prefix, count=len(expansion)).terms == expansion
+    firsts = {}
+    for head, tail, expansion in entries:
+        firsts.setdefault(expansion, (head, tail))
+    assert [(r.head, r.tail) for r in results] == list(firsts.values())
+    assert results == explore_basic_characters(2, 9)
+
+
+def test_explore_head_length_is_clamped_to_max_entry():
+    # A strictly increasing head in [1, 3] has at most 3 entries; the
+    # budget formula once ran over every length up to head_length.
+    start = time.perf_counter()
+    results = explore_basic_characters(50_000, 3, budget=10**8)
+    assert time.perf_counter() - start < 2.0
+    assert results == explore_basic_characters(3, 3) and len(results) == 2
+    with pytest.raises(BudgetExceededError) as long_head:
+        explore_basic_characters(50_000, 3, budget=1)
+    with pytest.raises(BudgetExceededError) as short_head:
+        explore_basic_characters(3, 3, budget=1)
+    assert str(long_head.value) == str(short_head.value)

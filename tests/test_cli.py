@@ -641,6 +641,27 @@ def test_env_budget_invalid_value(capsys, monkeypatch):
     assert code == EXIT_INPUT and "STANLEY_NODE_BUDGET" in err
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # Two main() calls in one process construct one parser, and each
+    # still reads STANLEY_NODE_BUDGET when it runs.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "stanley":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    getattr(cli.build_parser, "cache_clear", lambda: None)()
+    argv = ("search", "--ell", "1", "--max-element", "6")
+    monkeypatch.setenv("STANLEY_NODE_BUDGET", "5")
+    assert run_cli(capsys, *argv)[0] == EXIT_RESOURCE
+    monkeypatch.setenv("STANLEY_NODE_BUDGET", "100000")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert len(built) == 1
+
+
 def test_argparse_rejects_unknown_format():
     with pytest.raises(SystemExit) as e:
         main(["gen", "--format", "xml", "--seed", "0", "--count", "4"])

@@ -231,7 +231,7 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
     monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(modsets, "_pool_nodes", None)  # the in-process initializer sets it
     monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
-    jobs = {"search": 12, "explore": 87}  # first middle elements; heads x tails
+    jobs = {"search": 12, "explore": 17}  # first middle elements; (head length, first entry) pairs
     for name, run in (
         ("search", lambda: search_near_modular(2, 18, workers=requested)),
         ("explore", lambda: explore_basic_characters(2, 9, workers=requested)),
