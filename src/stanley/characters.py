@@ -349,13 +349,16 @@ def explore_basic_characters(
     head_length = min(head_length, max_entry)
     if budget is not None:
         # Every head comes with both tails, except a head ending in the
-        # exact power 3**(length - 1): comb(p - 1, length - 1) such heads.
-        total = 0
+        # exact power p = 3**(length - 1): comb(p - 1, length - 1) such
+        # heads.  heads steps through comb(max_entry, length) by one factor
+        # per length, so no binomial is recomputed from scratch.
+        total, heads, p = 0, 1, 1
         for length in range(1, head_length + 1):
-            total += 2 * comb(max_entry, length)
-            p = 3 ** (length - 1)
+            heads = heads * (max_entry - length + 1) // length
+            total += 2 * heads
             if p <= max_entry:
                 total -= comb(p - 1, length - 1)
+            p *= 3
         if total > budget:
             raise BudgetExceededError(
                 f"{total} candidate heads exceed the budget {budget}"

@@ -12,19 +12,27 @@ window [base, base + size) that slides upward: whenever a term t is
 appended, every value 2*t - x for earlier terms x becomes forever
 inadmissible, and the marks that land inside the window are written.
 Because terms increase, the earlier terms whose marks land inside the
-window form one slice, so appending is one vectorized scatter per term
-and candidate scanning is a chunked argmin over the window: generating n
-terms costs O(n^2) sieve writes with small constants.  The marks of a
-new term c that would land at or past the window's top come from the
-earlier terms at or below 2c - top, a prefix that is cut off; the cut
-only rises with c, so it advances through a Python list of the terms by
-bisection from where it stood.  When the window holds no free value, it
-moves on past its top, is cleared, and takes the marks of every pair
-x < y that lands in it.  No mark is written past the window, so marks
-above the final term stop at the last window's top, and no mark is
-written twice.  Memory is O(window + n) whatever the values: a window
-never holds more than _WINDOW bytes, and a term-count run starts with a
-smaller one sized from the expected growth.
+window form one slice, so appending is one vectorized scatter per term,
+and the next candidate is one byte search (bytearray.find) over the
+window: generating n terms costs O(n^2) sieve writes with small
+constants.  The marks of a new term c that would land at or past the
+window's top come from the earlier terms at or below 2c - top, a prefix
+that is cut off; the cut only rises with c, so it advances through a
+Python list of the terms by bisection from where it stood.  When the
+window holds no free value, it moves on past its top, is cleared, and
+takes the marks of every pair x < y that lands in it: slices of many x
+get one scatter each, and the short ones are gathered into a few batched
+scatters.  No mark is written past the window, so marks above the final
+term stop at the last window's top, and no mark is written twice.
+
+Only the last window's top decides how many marks are wasted, so windows
+follow the run.  Under a term count, each window spans 5/4 of the span of
+the last r terms, r being the terms still wanted or the terms so far less
+one, whichever is fewer: the next r terms are taken to span about as much
+as the last r did, so a run tends to end a little below its last
+window's top.  Under a value limit a window ends at the limit.  Memory is
+O(window + n) whatever the values: a window holds at least _MIN_WINDOW
+values under a term count and never more than _WINDOW bytes.
 
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
@@ -47,12 +55,21 @@ from .errors import InvalidSeedError, OverflowLimitError
 # Sieve arithmetic runs in int64; values past this cap would risk wrap-around.
 VALUE_CAP = 2**62
 
-_SCAN_CHUNK = 8192
-
-# Values per sieve window, one byte each.  2**20 and 2**24 generate 2**14
-# to 2**15 terms 10-30% slower than 2**21 or 2**22: small windows slide
-# often, each slide a Python loop over terms; large ones leave the L2.
+# The largest sieve window in values, one byte each, which bounds the
+# sieve's memory.  With windows sized from the run, caps from 2**20 to
+# 2**23 take 0.38-0.49 s for 2**14 terms of S(0,1,13), fastest at 2**21,
+# and 0.58-0.90 s for 2**15 terms of S(0,3,4), fastest at 2**20 (best of
+# four runs, 2-vCPU Xeon): a small cap slides more often, each slide a
+# fill over all terms, and a large one scatters past the L2 cache.
 _WINDOW = 1 << 22
+
+# Windows of a term-count run hold at least this many values.
+_MIN_WINDOW = 1 << 16
+
+# Window fills scatter slices of this many earlier terms or more one by
+# one, and gather shorter ones into scatters of at most _FILL_CHUNK marks.
+_SHORT_SLICE = 1024
+_FILL_CHUNK = 1 << 14
 
 # Row blocks of pair tables hold about this many cells (8 bytes each).
 _BLOCK_CELLS = 1 << 19
@@ -197,13 +214,6 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
     return ordered
 
 
-def _capacity_guess(count: int, last: int) -> int:
-    # First window size under a term-count bound: a growth-law guess (a_n is
-    # roughly n**log2(3) for the tamest seeds, far larger for chaotic ones),
-    # so a short run keeps a small sieve.
-    return int(2 * count ** 1.585) + 4 * last + 256
-
-
 def _mark(blocked: np.ndarray, twice: int, xs: np.ndarray, buf: np.ndarray) -> None:
     # Block index twice - x for every x in xs; every mark must lie in the
     # window.  ``buf`` is int64 scratch at least as long as xs.
@@ -216,24 +226,31 @@ def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, base: int, buf: np.ndarr
     # Block 2y - x for the pairs x < y of the increasing ``terms`` whose
     # mark lies in the window [base, base + len(blocked)).  For each y these
     # x form one slice: marks past the window come from its low end, marks
-    # below it from its high end.
+    # below it from its high end.  A slice of _SHORT_SLICE or more x gets a
+    # scatter of its own.  Shorter ones, where numpy's per-call cost
+    # outweighs the marks, are gathered into one scatter per _FILL_CHUNK
+    # marks; gathering takes more passes per mark, so long slices skip it.
     twice = 2 * terms
     lo = np.searchsorted(terms, twice - (base + len(blocked)), "right")
     hi = np.minimum(np.searchsorted(terms, twice - base, "right"), np.arange(len(terms)))
-    for j in np.flatnonzero(lo < hi):
+    sizes = hi - lo
+    for j in np.flatnonzero(sizes >= max(_SHORT_SLICE, 1)):
         _mark(blocked, twice[j] - base, terms[lo[j] : hi[j]], buf)
-
-
-def _next_free(blocked: np.ndarray, start: int, stop: int) -> int:
-    # First index in [start, stop) whose sieve byte is still False, or -1.
-    pos = start
-    while pos < stop:
-        window = blocked[pos : min(pos + _SCAN_CHUNK, stop)]
-        idx = int(window.argmin())
-        if not window[idx]:
-            return pos + idx
-        pos += len(window)
-    return -1
+    short = np.flatnonzero((sizes > 0) & (sizes < _SHORT_SLICE))
+    # starts[i]: marks of the short slices before the i-th one.
+    starts = np.concatenate(([0], np.cumsum(sizes[short])))
+    i = 0
+    while i < len(short):
+        k = max(i + 1, int(np.searchsorted(starts, starts[i] + _FILL_CHUNK, "right")) - 1)
+        ys = short[i:k]
+        n = sizes[ys]
+        # The x of slice y sit at lo[y], lo[y] + 1, ... in terms.
+        pos = np.repeat(lo[ys] - (starts[i:k] - starts[i]), n)
+        pos += np.arange(len(pos))
+        marks = np.repeat(twice[ys] - base, n)
+        marks -= terms[pos]
+        blocked[marks] = True
+        i = k
 
 
 def generate(
@@ -273,22 +290,28 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     # The window covers the values [base, base + size).  Marks at or below
     # the last term are never read, so it starts just above the seed.
     base = seed_t[-1] + 1
-    size = min(_WINDOW, _capacity_guess(count, seed_t[-1]) if limit is None else limit + 1 - base)
-    blocked = np.zeros(0, dtype=bool)
+    sieve = bytearray()
     while count is None or k < count:
+        if limit is not None:
+            size = min(_WINDOW, limit + 1 - base)
+        else:
+            # The next r terms should span about what the last r did; 5/4
+            # of that puts the top a little past the run's end.
+            r = min(count - k, k - 1)
+            size = min(_WINDOW, max(_MIN_WINDOW, (terms[-1] - terms[-1 - r]) * 5 // 4))
         if base + size >= VALUE_CAP:
             raise OverflowLimitError("sieve window left the 64-bit range")
-        if size <= len(blocked):
-            blocked = blocked[:size]
-            blocked.fill(False)
-        else:
-            blocked = np.zeros(size, dtype=bool)
+        if size > len(sieve):
+            sieve = blocked = None  # never hold two windows
+            sieve = bytearray(size)
+        blocked = np.frombuffer(sieve, dtype=bool, count=size)
+        blocked.fill(False)
         # No mark at or past the window's top was ever written, so every
         # pair landing in it is marked here.
         _mark_pairs(blocked, terms_buf[:k], base, buf)
         top = base + size
         lo = 0  # the cut: terms[:lo] lie at or below 2c - top
-        idx = _next_free(blocked, 0, size)
+        idx = sieve.find(0, 0, size)
         while idx >= 0:
             c = base + idx
             if c >= VALUE_CAP // 2:
@@ -306,12 +329,11 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
             k += 1
             if count is not None and k >= count:
                 break
-            idx = _next_free(blocked, idx + 1, size)
+            idx = sieve.find(0, idx + 1, size)
         if limit is not None and top > limit:
             break  # value bound exhausted
         # Slide the window on past its top.
         base = top
-        size = _WINDOW if limit is None else min(_WINDOW, limit + 1 - base)
 
     return GreedySequence(seed_t, tuple(terms))
 

@@ -30,6 +30,17 @@ def naive_stanley(seed, count):
     return chosen
 
 
+def naive_marks(terms, base, size):
+    """Flags of the window [base, base + size): True where 2y - x lands for
+    some x < y in ``terms``."""
+    marks = [False] * size
+    for y in terms:
+        for x in terms:
+            if x < y and base <= 2 * y - x < base + size:
+                marks[2 * y - x - base] = True
+    return marks
+
+
 def naive_is_3ap_free(values):
     vals = sorted(values)
     for i, x in enumerate(vals):

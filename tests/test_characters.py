@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +421,23 @@ def test_explore_budget_counts_every_candidate(head_length, max_entry):
     total = sum(1 if h[-1] == 3 ** (len(h) - 1) else 2 for h in heads)
     with pytest.raises(BudgetExceededError, match=f"^{total} candidate heads"):
         explore_basic_characters(head_length, max_entry, budget=total - 1)
+
+
+def test_explore_budget_message_needs_no_binomial_per_length():
+    # With head_length = max_entry = n every length counts, so the heads
+    # number 2**n - 1, less the power-ended ones counted once.  The budget
+    # formula once recomputed comb(n, length) for every length: 7 s at n =
+    # 8,000 before it raised.
+    n = 8000
+    total = 2 * (2**n - 1) - sum(
+        comb(3 ** (length - 1) - 1, length - 1)
+        for length in range(1, n + 1) if 3 ** (length - 1) <= n
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        explore_basic_characters(n, n, budget=1)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == f"{total} candidate heads exceed the budget 1"
 
 
 def test_explore_budget_and_workers():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stanley import (
@@ -27,7 +27,7 @@ from stanley import (
 
 from stanley import core
 
-from .naive import naive_first_3ap, naive_is_3ap_free, naive_stanley
+from .naive import naive_first_3ap, naive_is_3ap_free, naive_marks, naive_stanley
 
 
 # strictly increasing AP-free seeds starting at 0, built incrementally so
@@ -150,6 +150,67 @@ def test_limit_mode_matches_naive_oracle(seed, headroom, window):
     with mock.patch.object(core, "_WINDOW", window):
         got = list(generate(seed, limit=limit).terms)
     assert got == [t for t in naive_stanley(seed, len(got) + 1) if t <= limit]
+
+
+@given(ap_free_seeds(), st.integers(0, 150), st.sampled_from([core._WINDOW, 1, 7, 45]))
+@settings(max_examples=100, deadline=None)
+def test_count_mode_matches_naive_oracle(seed, extra, window):
+    # Windows of a count run are sized from the run's last terms; tiny
+    # caps make every one of them slide.
+    count = len(seed) + extra
+    with mock.patch.object(core, "_WINDOW", window):
+        got = list(generate(seed, count=count).terms)
+    assert got == naive_stanley(seed, count)
+
+
+@given(
+    st.lists(st.integers(1, 40), max_size=60).map(lambda steps: np.cumsum([0] + steps).tolist()),
+    st.integers(0, 2500),
+    st.integers(0, 2500),
+    st.sampled_from([0, core._SHORT_SLICE, 10**9]),
+    st.sampled_from([1, 5, core._FILL_CHUNK]),
+)
+@example(list(range(1500)), 1500, 1500, core._SHORT_SLICE, core._FILL_CHUNK)
+@settings(max_examples=200, deadline=None)
+def test_mark_pairs_matches_naive_marks(terms, base, size, short, chunk):
+    # A short-slice threshold of 0 scatters every slice alone, one above
+    # every slice gathers them all, and the default mixes both in the
+    # example of 1,500 consecutive terms.  Chunks of 1 and 5 marks put one
+    # slice or a few in each gathered scatter.
+    blocked = np.zeros(size, dtype=bool)
+    arr = np.array(terms, dtype=np.int64)
+    with mock.patch.object(core, "_SHORT_SLICE", short), \
+            mock.patch.object(core, "_FILL_CHUNK", chunk):
+        core._mark_pairs(blocked, arr, base, np.empty_like(arr))
+    assert blocked.tolist() == naive_marks(terms, base, size)
+
+
+@pytest.mark.parametrize("seed", [(0, 3, 4), (0, 1, 3, 4, 10)])
+def test_last_window_ends_near_the_last_term(monkeypatch, seed):
+    # Marks past the last term are never read: a count run sizes its
+    # windows from its own terms instead of one up-front growth guess,
+    # which put the last window's top at 4x the last term.
+    tops = []
+    real_mark_pairs = core._mark_pairs
+
+    def spy(blocked, terms, base, buf):
+        tops.append(base + len(blocked))
+        return real_mark_pairs(blocked, terms, base, buf)
+
+    monkeypatch.setattr(core, "_mark_pairs", spy)
+    terms = generate(seed, count=4096).terms
+    assert tops[-1] <= 1.5 * terms[-1]
+
+
+def test_count_run_memory_stays_near_one_window():
+    generate((0, 1, 13), count=64)
+    tracemalloc.start()
+    try:
+        generate((0, 1, 13), count=2**14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_generate_requires_some_bound():
