@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import _integers
+from .core import _integer, _integers
 from .errors import (
     BudgetExceededError,
     DuplicateSumError,
@@ -62,6 +62,8 @@ class Basis:
     geometric_tail: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "head", tuple(_integers(self.head, "head entries")))
+        object.__setattr__(self, "shift", _integer(self.shift, "shift"))
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
         if any(v < 1 for v in self.head):
@@ -336,6 +338,7 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     modulus while b_k does not.  A value outside the sequence fails one of
     these steps and raises NotRepresentableError.
     """
+    value = _integer(value, "value")
     if value < 0:
         raise NotRepresentableError(f"{value} is negative")
     base_mod = 3**sys.ell

@@ -131,6 +131,7 @@ def plan_character(target: int) -> CharacterPlan:
     explore_basic_characters), and the class 244 mod 486, which the
     constructive table does not cover.
     """
+    target = core._integer(target, "target")
     if target < 0:
         raise NotRealizableError(
             f"characters are nonnegative, got {target}", reason="negative"
@@ -259,6 +260,7 @@ def residue_coverage(modulus: int = EXCLUDED_MODULUS) -> CoverageMap:
     one of any three consecutive members has v3(lam - 1) above the
     class's least, so one of these two attains it.
     """
+    modulus = core._integer(modulus, "modulus")
     if modulus < 6 or modulus % 6 != 0:
         raise ValueError("modulus must be a positive multiple of 6")
     entries: list[CoverageEntry] = []
@@ -360,9 +362,11 @@ def explore_basic_characters(
                 total -= comb(p - 1, length - 1)
             p *= 3
         if total > budget:
-            raise BudgetExceededError(
-                f"{total} candidate heads exceed the budget {budget}"
-            )
+            try:
+                heads_text = f"{total} candidate heads exceed"
+            except ValueError:  # more digits than int-to-str conversion allows
+                heads_text = f"a {total.bit_length()}-bit count of candidate heads exceeds"
+            raise BudgetExceededError(f"{heads_text} the budget {budget}")
     jobs = [(length, first, max_entry)
             for length in range(1, head_length + 1)
             for first in range(1, max_entry - length + 2)]

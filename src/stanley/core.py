@@ -95,30 +95,32 @@ class GreedySequence:
         return len(self.terms)
 
 
-def _member_mask(members: np.ndarray, bound: int):
-    # Membership test for a sorted distinct integer array ``members`` in
-    # [0, bound), applied to query arrays with entries in the same range.
-    # A byte bitmap serves when it is no larger than one row block of
-    # int64 cells and has no more entries than the n * n probes of a pair
-    # table; binary search, which also takes object arrays of Python ints,
-    # serves otherwise.
-    n = len(members)
-    if bound <= min(n * n, 8 * _BLOCK_CELLS):
+def _member_mask(members: np.ndarray, bound: int, width: int):
+    # The layout of a pair table of ``width`` columns, its cells in
+    # [0, bound) looked up among the sorted distinct array ``members``:
+    # the lookup, whether it is a bitmap, and the rows per block.  The
+    # memory rule: a byte bitmap serves when it holds at most one block's
+    # bytes (8 * _BLOCK_CELLS) and at most len(members)**2 entries; binary
+    # search, which also takes object arrays of Python ints, otherwise.
+    m = len(members)
+    rows = min(width, max(1, _BLOCK_CELLS // width))
+    if bound <= min(m * m, 8 * _BLOCK_CELLS):
         present = np.zeros(bound, dtype=bool)
         present[members] = True
-        return present.__getitem__
+        return present.__getitem__, True, rows
 
     def member(queries: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(members, queries)
-        np.minimum(pos, n - 1, out=pos)
+        np.minimum(pos, m - 1, out=pos)
         return members[pos] == queries
 
-    return member
+    return member, False, rows
 
 
 def _integers(values: Iterable[int], what: str = "elements", error=ValueError) -> list[int]:
-    # The integer rule of every entry point: operator.index takes ints and
-    # numpy integers but refuses floats and strings; bools are refused too.
+    # The integer rule of every entry point, for many values here and one
+    # in _integer: operator.index takes ints and numpy integers but refuses
+    # floats and strings; bools are refused too.
     out = list(values)
     try:
         if bool not in set(map(type, out)):
@@ -126,6 +128,12 @@ def _integers(values: Iterable[int], what: str = "elements", error=ValueError) -
     except TypeError:
         pass
     raise error(f"{what} must be plain integers")
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not bool and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{what} must be a plain integer")
 
 
 def has_3ap(elements: Iterable[int]) -> APWitness | None:
@@ -148,14 +156,12 @@ def has_3ap(elements: Iterable[int]) -> APWitness | None:
         [v - lo for v in values],
         dtype=np.int64 if span < VALUE_CAP else object,
     )
-    member = _member_mask(arr, 2 * span + 1)
-    index = np.arange(n)
-    rows = max(1, _BLOCK_CELLS // n)
+    member, _, rows = _member_mask(arr, 2 * span + 1, n)
     for j0 in range(0, n, rows):
         j1 = min(n, j0 + rows)
         # hit[i, k]: x = values[k] < y = values[j0 + i] with 2y - x present.
         hit = member(2 * arr[j0:j1, None] - arr[None, :j1])
-        hit &= index[None, :j1] < index[j0:j1, None]
+        hit &= np.tri(j1 - j0, j1, j0 - 1, dtype=bool)
         if hit.any():
             i, k = divmod(int(np.argmax(hit)), j1)
             x, y = values[k], values[j0 + i]
@@ -171,16 +177,13 @@ def is_admissible(chosen: Iterable[int], candidate: int) -> bool:
     Only progressions ending at ``candidate`` can arise, so one membership
     probe per earlier term suffices.
     """
-    members = set(chosen)
+    members = set(_integers(chosen))
+    candidate = _integer(candidate, "candidate")
     if members and candidate <= max(members):
         raise ValueError(
             f"candidate {candidate} does not exceed max(chosen) = {max(members)}"
         )
-    for y in members:
-        x = 2 * y - candidate
-        if x >= 0 and x in members:
-            return False
-    return True
+    return all(2 * y - candidate not in members for y in members)
 
 
 def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
@@ -191,10 +194,9 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
     entries, lacks 0, or contains a 3-term progression (the witness is
     attached to the error).
     """
-    raw = list(seed)
-    if not raw:
+    values = _integers(seed, "seed entries", InvalidSeedError)
+    if not values:
         raise InvalidSeedError("seed is empty")
-    values = _integers(raw, "seed entries", InvalidSeedError)
     if len(set(values)) != len(values):
         raise InvalidSeedError("seed contains duplicate elements")
     ordered = tuple(sorted(values))

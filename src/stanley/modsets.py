@@ -16,17 +16,17 @@ sequence by 2*j*3**(i+1); the character planner leans on exactly that.
 
 Verification is one pass over row blocks of the table 2y - z (mod N),
 computed from residues so elements of any size stay exact: O(|A|^2)
-cells in O(|A| * B) working memory for blocks of B rows.  No cell is
-reduced mod N.  Each is lifted to 2y - z + N, which lies in [0, 3N), and
-looked up among the residues tiled three times (r, r + N, r + 2N): in a
-byte bitmap of 3N entries when 3N is at most 9|A|^2 and at most the byte
-size of one block, by binary search otherwise.  The covering cells, z at
-or before y, are the columns before a block and a small triangle inside
-it; they go in a bitmap over [0, 3N) whose three thirds are folded
-together at the end.  Where 3N is larger than one block's bytes, only
-the covering cells are reduced mod N, into a bitmap of
-min(N, |A|(|A|+1)/2 + 1) entries.  Verifying a 4096-element cover modulo
-3**12 allocates about 12 MB at its peak.
+cells in O(|A| * B) working memory for blocks of B rows.  Each cell is
+lifted to 2y - z + N, which lies in [0, 3N), and looked up among the
+residues tiled three times (r, r + N, r + 2N).  One rule in core picks
+the layout and the block rows: a byte bitmap of 3N entries when 3N is at
+most 9|A|^2 and at most one block's bytes, binary search otherwise.  The
+covering cells, z at or before y, are the columns before a block and a
+small triangle inside it.  Beside a bitmap lookup they go in a bitmap
+over [0, 3N) whose thirds fold together at the end; beside binary search
+they are reduced mod N into a bitmap of min(N, |A|(|A|+1)/2 + 1)
+entries.  Verifying a 4096-element cover modulo 3**12 allocates about
+12 MB at its peak.
 
 The search keeps, for the elements chosen so far, a byte bitmap of the
 residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, _integers, _member_mask
+from .core import _integer, _integers, _member_mask
 from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -118,16 +118,13 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
     # A lifted cell is a residue mod N exactly when it is one of the
     # residues tiled three times over [0, 3N).
     tiled = np.concatenate([ranked, ranked + modulus, ranked + 2 * modulus])
-    member = _member_mask(tiled, 3 * modulus)
-    # Covered residues, lifted: a bitmap over [0, 3N) whose thirds fold
-    # together at the end.  Where that is larger than one row block,
-    # covering cells are reduced mod N instead, and since P covering pairs
+    member, bitmap, rows = _member_mask(tiled, 3 * modulus, n)
+    # Covered residues follow the lookup: beside a bitmap, lifted cells go
+    # in a bitmap over [0, 3N) whose thirds fold together at the end; beside
+    # binary search, cells are reduced mod N and, since P covering pairs
     # reach at most P residues, only residues up to P are kept.
-    lifted_cover = 3 * modulus <= 8 * _BLOCK_CELLS
-    size = 3 * modulus if lifted_cover else min(modulus, n * (n + 1) // 2 + 1)
+    size = 3 * modulus if bitmap else min(modulus, n * (n + 1) // 2 + 1)
     covered = np.zeros(size, dtype=bool)
-    index = np.arange(n)
-    rows = min(n, max(1, _BLOCK_CELLS // n))
     block = np.empty((rows, n), dtype=res.dtype)
     for j0 in range(0, n, rows):
         j1 = min(n, j0 + rows)
@@ -136,7 +133,7 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
         hit = member(cells)
         # With all residues distinct, the diagonal y == z only ever finds
         # the trivial x = y = z solution.
-        hit[index[: j1 - j0], index[j0:j1]] = False
+        np.fill_diagonal(hit[:, j0:j1], False)
         if hit.any():
             i, z = divmod(int(np.argmax(hit)), n)
             x = values[order[np.searchsorted(ranked, cells[i, z] % modulus)]]
@@ -144,12 +141,11 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
         # Covering cells have z at or before y: the rectangle of columns
         # before the block, and a triangle within it.
         for reached in (cells[:, :j0].ravel(), cells[:, j0:j1][np.tri(j1 - j0, dtype=bool)]):
-            if not lifted_cover:
+            if not bitmap:
                 reached = reached % modulus
-                if len(covered) < modulus:
-                    reached = reached[reached < len(covered)]
+                reached = reached[reached < size]
             covered[reached.astype(np.intp, copy=False)] = True
-    if lifted_cover:
+    if bitmap:
         covered = covered[:modulus] | covered[modulus : 2 * modulus] | covered[2 * modulus :]
     if covered.all():
         return None
@@ -194,16 +190,10 @@ def zero_sequence_value(n: int) -> int:
     Closed form: write n in binary and read those digits in ternary, so
     the values are exactly the integers whose base-3 digits are 0 or 1.
     """
+    n = _integer(n, "index")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    value = 0
-    power = 1
-    while n:
-        if n & 1:
-            value += power
-        power *= 3
-        n >>= 1
-    return value
+    return sum(3**k for k in range(n.bit_length()) if n >> k & 1)
 
 
 # Family table: near-modular A-side base sets with respect to 3**(i+1),
@@ -227,6 +217,7 @@ FAMILY_SIDES = ("A", "B")
 
 
 def family_modulus(index: int) -> int:
+    index = _integer(index, "family index")
     if index not in FAMILY_INDICES:
         raise ValueError(f"family index must be one of {FAMILY_INDICES}")
     return 3 ** (index + 1)
@@ -234,18 +225,16 @@ def family_modulus(index: int) -> int:
 
 def family_set(index: int, side: str, shift: int = 0) -> tuple[int, ...]:
     """Family base set with its largest element shifted by shift*3**(i+1)."""
-    if index not in FAMILY_INDICES:
-        raise ValueError(f"family index must be one of {FAMILY_INDICES}")
+    modulus = family_modulus(index)
     if side not in FAMILY_SIDES:
         raise ValueError("side must be 'A' or 'B'")
+    shift = _integer(shift, "shift")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     base = _FAMILY_BASE[index]
     if side == "B":
         base = tuple(2 * v for v in base)
-    if shift == 0:
-        return base
-    return base[:-1] + (base[-1] + shift * family_modulus(index),)
+    return base[:-1] + (base[-1] + shift * modulus,)
 
 
 @dataclass(frozen=True)
@@ -426,6 +415,8 @@ def search_near_modular(
     at the budget; a pool stops within 2**14 nodes per branch in flight
     past it.
     """
+    ell, max_element = _integer(ell, "ell"), _integer(max_element, "max_element")
+    budget, workers = _integer(budget, "budget"), _integer(workers, "workers")
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if budget < 1:

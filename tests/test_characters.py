@@ -17,6 +17,9 @@ from stanley import (
     BasisRecipe,
     BudgetExceededError,
     FamilyRecipe,
+    IdentityViolation,
+    IndependenceCertificate,
+    IndependenceReport,
     NotRealizableError,
     PlanVerificationError,
     analyze_independence,
@@ -30,7 +33,7 @@ from stanley import (
     verify_modular,
     verify_plan,
 )
-from stanley import characters, core
+from stanley import characters, core, structure
 from stanley.cli import main
 
 from .naive import naive_basis_cover, naive_basis_head, naive_residue_coverage
@@ -254,6 +257,19 @@ def test_verified_cover_is_not_revalidated(monkeypatch, capsys, lam):
     assert main(["character", "--lambda", str(lam), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["certificate"]["character"] == lam
     assert calls == []
+
+
+@pytest.mark.parametrize("result, message", [
+    (IndependenceReport(IdentityViolation("addition", 6, 3, 10, 11), 6),
+     r"realization failed independence analysis: IdentityViolation\(kind='addition', depth=6, "
+     r"index=3, expected=10, actual=11\)"),
+    (IndependenceCertificate(10, 0, 1, 6), "realized character 10 differs from target 8"),
+], ids=["not_independent", "wrong_character"])
+def test_verify_plan_refuses_what_the_analysis_refutes(monkeypatch, result, message):
+    # The greedy run matches the realization; only the analysis disagrees.
+    monkeypatch.setattr(structure, "analyze_independence", lambda seq, max_depth: result)
+    with pytest.raises(PlanVerificationError, match=f"^{message}$"):
+        verify_plan(plan_character(8))
 
 
 def test_verify_plan_depth_validation():

@@ -641,6 +641,25 @@ def test_env_budget_invalid_value(capsys, monkeypatch):
     assert code == EXIT_INPUT and "STANLEY_NODE_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv, env_budget, code, message", [
+    (("gen", "--seed", "abc", "--count", "3"), None, EXIT_INPUT,
+     "error: not a comma-separated integer list: 'abc'\n"),
+    (("gen", "--seed", " , ", "--count", "3"), None, EXIT_INPUT, "error: empty integer list\n"),
+    (("search", "--ell", "1", "--max-element", "6"), "0", EXIT_INPUT,
+     "error: STANLEY_NODE_BUDGET must be positive\n"),
+    (("analyze", "--seed", "0", "--depth", "6", "--count", "50"), None, EXIT_INPUT,
+     "error: depth 6 needs at least 96 terms\n"),
+    # A total of more than 4300 digits is too long for str(): its size is given.
+    (("explore", "--head-length", "15000", "--max-entry", "15000", "--budget", "1"), None,
+     EXIT_RESOURCE, "error: a 15001-bit count of candidate heads exceeds the budget 1\n"),
+], ids=["seed_not_integers", "seed_empty", "env_budget_zero", "analyze_too_few_terms",
+        "explore_total_past_str_limit"])
+def test_input_and_resource_errors(capsys, monkeypatch, argv, env_budget, code, message):
+    if env_budget is not None:
+        monkeypatch.setenv("STANLEY_NODE_BUDGET", env_budget)
+    assert run_cli(capsys, *argv) == (code, "", message)
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     # Two main() calls in one process construct one parser, and each
     # still reads STANLEY_NODE_BUDGET when it runs.

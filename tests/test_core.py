@@ -10,15 +10,25 @@ from hypothesis import strategies as st
 
 from stanley import (
     APWitness,
+    Basis,
     InvalidSeedError,
+    NotRepresentableError,
     OverflowLimitError,
     character_at,
     compose_system,
+    decompose,
+    expand_basis,
     expand_modular,
+    explore_basic_characters,
+    family_modulus,
+    family_set,
     generate,
     has_3ap,
     is_admissible,
     minimal_generating_prefix,
+    plan_character,
+    residue_coverage,
+    search_near_modular,
     validate_seed,
     verify_modular,
     verify_near_modular,
@@ -262,6 +272,56 @@ def test_entry_points_refuse_non_integers(call, bad):
     call(np.int64(2))  # numpy integers are integers
 
 
+_SYSTEM = compose_system(family_set(1, "A", 1), 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "5"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call, good", [
+    (lambda v: expand_basis(Basis((v, 3)), count=4), 1),
+    (lambda v: Basis((1, 3), shift=v), 2),
+    (lambda v: family_set(1, "A", v), 2),
+    (lambda v: family_set(v, "A", 0), 2),
+    (lambda v: family_modulus(v), 2),
+    (lambda v: plan_character(v), 40),
+    (lambda v: decompose(v, _SYSTEM), 2),
+    (lambda v: zero_sequence_value(v), 2),
+    (lambda v: search_near_modular(v, 6), 2),
+    (lambda v: search_near_modular(1, v), 2),
+    (lambda v: residue_coverage(v), 486),
+    (lambda v: is_admissible([0, 1], v), 3),
+], ids=["basis_head", "basis_shift", "family_shift", "family_index", "family_modulus",
+        "plan_character", "decompose", "zero_sequence_value", "search_ell",
+        "search_max_element", "residue_coverage", "is_admissible"])
+def test_single_integer_arguments_refuse_non_integers(call, good, bad):
+    # Each of these once took 1.5 (family_set(1, "A", 1.5) gave a last
+    # element 19.5) or failed with a TypeError deep inside.
+    with pytest.raises(ValueError, match="must be (a )?plain integers?$"):
+        call(bad)
+    call(np.int64(good))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: decompose(6, _SYSTEM), NotRepresentableError, "6 lies below set element 15"),
+    (lambda: decompose(20, _SYSTEM), NotRepresentableError, "20 is not a member value"),
+    (lambda: Basis((1,), shift=-1), ValueError, "shift must be nonnegative"),
+    (lambda: validate_seed((0, 2**62)), OverflowLimitError,
+     f"seed element {2**62} exceeds value cap"),
+    (lambda: minimal_generating_prefix((1, 2)), ValueError, "sequence must start at 0"),
+    (lambda: verify_modular((0, 1, 1), 9), ValueError, "elements must be distinct"),
+    (lambda: verify_modular((0,), 0), ValueError, "modulus must be positive"),
+    (lambda: zero_sequence_value(-1), ValueError, "index must be nonnegative"),
+    (lambda: family_modulus(9), ValueError, r"family index must be one of \(1, 2, 3, 4\)"),
+    (lambda: search_near_modular(1, 6, budget=0), ValueError, "budget must be positive"),
+    (lambda: search_near_modular(1, 6, workers=0), ValueError, "workers must be positive"),
+    (lambda: explore_basic_characters(2, 4, workers=0), ValueError, "workers must be positive"),
+], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero",
+        "modular_distinct", "modular_modulus", "zero_index", "family_index", "search_budget",
+        "search_workers", "explore_workers"])
+def test_argument_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_validate_seed_sorts():
     assert validate_seed([7, 0, 1]) == (0, 1, 7)
 
@@ -327,10 +387,13 @@ def test_member_mask_paths_agree(members):
     want = np.isin(queries, arr)
     for block_cells in (1, 1 << 19):
         with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
-            assert (core._member_mask(arr, 201)(queries) == want).all()
+            member, bitmap, rows = core._member_mask(arr, 201, 67)
+            assert (member(queries) == want).all()
+            assert bitmap == (block_cells > 1 and len(members) >= 15)
+            assert rows == min(67, max(1, block_cells // 67))
     # Bounds past int64 take object arrays of Python ints.
-    member = core._member_mask(arr.astype(object), 2**64)
-    assert (member(queries.astype(object)) == want).all()
+    member, bitmap, _ = core._member_mask(arr.astype(object), 2**64, 67)
+    assert (member(queries.astype(object)) == want).all() and not bitmap
 
 
 def test_has_3ap_memory_follows_set_size_not_span():
@@ -349,6 +412,23 @@ def test_is_admissible_contract():
     assert not is_admissible([0, 1], 2)
     with pytest.raises(ValueError):
         is_admissible([0, 5], 4)
+
+
+@st.composite
+def ap_free_sets_with_negatives(draw):
+    chosen = []
+    for v in draw(st.lists(st.integers(-60, 60), max_size=12)):
+        if v not in chosen and has_3ap([*chosen, v]) is None:
+            chosen.append(v)
+    return chosen
+
+
+@given(ap_free_sets_with_negatives(), st.integers(1, 130))
+@settings(max_examples=200, deadline=None)
+@example([-2, 0], 2)
+def test_is_admissible_matches_has_3ap_through_negative_values(chosen, step):
+    c = max(chosen, default=0) + step
+    assert is_admissible(chosen, c) == (has_3ap([*chosen, c]) is None)
 
 
 def test_overflow_guard():

@@ -450,10 +450,8 @@ def test_search_results_are_verified_sets():
 @contextmanager
 def kernel_layout(block_cells):
     # Shrink the row blocks, and with them the largest residue bitmap, so
-    # that small sets run through several blocks and both membership paths.
-    with mock.patch.object(modsets, "_BLOCK_CELLS", block_cells), mock.patch.object(
-        core, "_BLOCK_CELLS", block_cells
-    ):
+    # that small sets run through several blocks and both layouts.
+    with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
         yield
 
 
@@ -524,6 +522,30 @@ def test_verification_matches_oracle_on_mutated_covers(family, shift, data):
         assert_matches_oracle(values, cover.modulus)
 
 
+@given(st.sets(st.integers(1, 3**14), max_size=6), st.integers(3 * 7**2 + 1, (8 << 19) // 3))
+@settings(max_examples=60, deadline=None)
+def test_verification_matches_oracle_where_search_meets_a_small_modulus(elements, modulus):
+    # 3N fits one default block's bytes but exceeds 9|A|**2, so the default
+    # layout looks residues up by binary search and reduces covering cells
+    # mod N, where a lifted 3N cover bitmap once served.
+    elements = sorted({0, *elements})
+    assert 3 * modulus <= 8 * core._BLOCK_CELLS and modulus > 3 * len(elements) ** 2
+    assert_matches_oracle(elements, modulus)
+
+
+def test_searched_lookup_allocates_no_lifted_cover():
+    # Ten covering pairs reach at most ten residues: the cover bitmap holds
+    # 11 entries, not 3 * 3**12 = 1.6 MB.
+    tracemalloc.start()
+    try:
+        report = verify_near_modular([0, 1, 3, 4], 3**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.violation == modsets.ModSetViolation("uncovered-residue", (9,))
+    assert peak < 64 * 2**10
+
+
 # Cells are lifted to [0, 3N) in int64 while 3N < 2**63 and in Python ints
 # past that; these moduli lie on both sides of the switch, and 2**62 - 1
 # would overflow a lifted int64 cell.
@@ -556,7 +578,7 @@ def test_verification_reduces_covering_cells_past_the_lifted_bitmap():
     # 3N is past the lifted bitmap in every layout, so covering cells are
     # reduced mod N; a few elements leave residues above P uncovered.
     modulus = 3**14
-    assert 3 * modulus > 8 * modsets._BLOCK_CELLS
+    assert 3 * modulus > 8 * core._BLOCK_CELLS
     for elements in (
         [0, 1, 3, 9 + modulus],
         [0, 1, 3, 9, 27 + 2 * modulus, 81],
