@@ -190,8 +190,7 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     that exceeds ``depth``, so the certificate always reaches the level
     where the block structure locks in.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    depth = core._integer(depth, "depth", 1)
     cover = plan.cover
     block_scale = len(cover.elements).bit_length() - 1
     eff_depth = max(depth, block_scale)
@@ -343,10 +342,10 @@ def explore_basic_characters(
     identical for every worker count.  No more than ``workers`` processes
     start, nor more than there are branches or usable CPUs.
     """
-    if head_length < 1 or max_entry < 1:
-        raise ValueError("bounds must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    head_length = core._integer(head_length, "head_length", 1)
+    max_entry = core._integer(max_entry, "max_entry", 1)
+    workers = core._integer(workers, "workers", 1)
+    budget = None if budget is None else core._integer(budget, "budget", 0)
     # A strictly increasing head in [1, max_entry] has at most max_entry entries.
     head_length = min(head_length, max_entry)
     if budget is not None:

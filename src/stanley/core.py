@@ -39,6 +39,13 @@ pair table 2y - x: O(n^2) membership probes for n seed values, with
 O(n * B) working memory for blocks of B rows.  Probes go to a byte bitmap
 over the seed's span when that bitmap is small next to the pair table,
 to a binary search otherwise.
+
+Every public function reads each integer argument once through one rule,
+_integer (or _integers for a list): ints and numpy integers pass; bools,
+floats and strings raise ValueError, and so does a value below the lower
+bound 0 or 1 that the argument may carry.  generate and every bounded
+expansion read their count and limit through _bounds, which also asks
+for at least one of the two.
 """
 
 from __future__ import annotations
@@ -74,6 +81,11 @@ _FILL_CHUNK = 1 << 14
 # Row blocks of pair tables hold about this many cells (8 bytes each).
 _BLOCK_CELLS = 1 << 19
 
+# A byte bitmap holds at most this many blocks' bytes, 64 MiB by default:
+# the 3N = 3**16 entries of a 2**15-element cover (basis.COVER_CAP), whose
+# modular check keeps a second map as large and peaks near 2 * 3N bytes.
+_BITMAP_BLOCKS = 16
+
 
 @dataclass(frozen=True)
 class APWitness:
@@ -99,12 +111,12 @@ def _member_mask(members: np.ndarray, bound: int, width: int):
     # The layout of a pair table of ``width`` columns, its cells in
     # [0, bound) looked up among the sorted distinct array ``members``:
     # the lookup, whether it is a bitmap, and the rows per block.  The
-    # memory rule: a byte bitmap serves when it holds at most one block's
-    # bytes (8 * _BLOCK_CELLS) and at most len(members)**2 entries; binary
-    # search, which also takes object arrays of Python ints, otherwise.
+    # memory rule: a byte bitmap serves when it holds at most _BITMAP_BLOCKS
+    # blocks' bytes and at most len(members)**2 entries; binary search,
+    # which also takes object arrays of Python ints, otherwise.
     m = len(members)
     rows = min(width, max(1, _BLOCK_CELLS // width))
-    if bound <= min(m * m, 8 * _BLOCK_CELLS):
+    if bound <= min(m * m, _BITMAP_BLOCKS * 8 * _BLOCK_CELLS):
         present = np.zeros(bound, dtype=bool)
         present[members] = True
         return present.__getitem__, True, rows
@@ -117,23 +129,38 @@ def _member_mask(members: np.ndarray, bound: int, width: int):
     return member, False, rows
 
 
-def _integers(values: Iterable[int], what: str = "elements", error=ValueError) -> list[int]:
+def _integers(values: Iterable[int], what="elements", error=ValueError, least=None) -> list[int]:
     # The integer rule of every entry point, for many values here and one
     # in _integer: operator.index takes ints and numpy integers but refuses
-    # floats and strings; bools are refused too.
+    # floats and strings; bools are refused too.  ``least`` is 0, 1 or None.
     out = list(values)
     try:
-        if bool not in set(map(type, out)):
-            return list(map(operator.index, out))
+        if bool in set(map(type, out)):
+            raise TypeError
+        out = list(map(operator.index, out))
     except TypeError:
-        pass
-    raise error(f"{what} must be plain integers")
+        raise error(f"{what} must be plain integers") from None
+    if least is not None and min(out, default=least) < least:
+        raise error(f"{what} must be {'positive' if least else 'nonnegative'}")
+    return out
 
 
-def _integer(value, what: str) -> int:
-    if type(value) is not bool and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise ValueError(f"{what} must be a plain integer")
+def _integer(value, what: str, least: int | None = None) -> int:
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be a plain integer")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}")
+    return value
+
+
+def _bounds(count, limit, least=1) -> tuple[int | None, int | None]:
+    # The bound rule of generate and of every bounded expansion: a count,
+    # at least ``least`` unless that is None, or a value limit, or both.
+    if count is None and limit is None:
+        raise ValueError("need a count bound or a value limit")
+    return (None if count is None else _integer(count, "count", least),
+            None if limit is None else _integer(limit, "limit"))
 
 
 def has_3ap(elements: Iterable[int]) -> APWitness | None:
@@ -268,8 +295,7 @@ def generate(
     bound is hit first.  The result is deterministic in the seed alone.
     """
     seed_t = validate_seed(seed)
-    if count is None and limit is None:
-        raise ValueError("need a count bound or a value limit")
+    count, limit = _bounds(count, limit, least=None)
     if count is not None and count < len(seed_t):
         raise ValueError(f"count {count} is below the seed length {len(seed_t)}")
     if limit is not None and limit < seed_t[-1]:

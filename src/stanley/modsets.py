@@ -20,13 +20,13 @@ cells in O(|A| * B) working memory for blocks of B rows.  Each cell is
 lifted to 2y - z + N, which lies in [0, 3N), and looked up among the
 residues tiled three times (r, r + N, r + 2N).  One rule in core picks
 the layout and the block rows: a byte bitmap of 3N entries when 3N is at
-most 9|A|^2 and at most one block's bytes, binary search otherwise.  The
-covering cells, z at or before y, are the columns before a block and a
-small triangle inside it.  Beside a bitmap lookup they go in a bitmap
-over [0, 3N) whose thirds fold together at the end; beside binary search
-they are reduced mod N into a bitmap of min(N, |A|(|A|+1)/2 + 1)
-entries.  Verifying a 4096-element cover modulo 3**12 allocates about
-12 MB at its peak.
+most 9|A|^2 and at most 64 MiB, binary search otherwise.  The covering
+cells, z at or before y, are the columns before a block and a small
+triangle inside it.  Beside a bitmap lookup they go in a bitmap over
+[0, 3N) whose thirds fold together at the end; beside binary search they
+are reduced mod N into a bitmap of min(N, |A|(|A|+1)/2 + 1) entries.
+Peaks: about 12 MB for a 4096-element cover modulo 3**12, 102 MiB (two
+3N-byte maps) for a 32768-element one modulo 3**15.
 
 The search keeps, for the elements chosen so far, a byte bitmap of the
 residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
@@ -87,11 +87,9 @@ class NearModularSet:
 
 
 def _canonical(elements: Iterable[int]) -> tuple[int, ...]:
-    values = sorted(_integers(elements))
+    values = sorted(_integers(elements, least=0))
     if len(set(values)) != len(values):
         raise ValueError("elements must be distinct")
-    if values and values[0] < 0:
-        raise ValueError("elements must be nonnegative")
     return tuple(values)
 
 
@@ -155,8 +153,7 @@ def _first_violation(values: Sequence[int], modulus: int) -> ModSetViolation | N
 def _verify(elements: Iterable[int], modulus: int, near: bool) -> ModSetReport:
     # Both verifications: 0 must be present, every element must lie below
     # the modulus unless ``near``, and then no mod-AP or uncovered residue.
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    modulus = _integer(modulus, "modulus", 1)
     values = _canonical(elements)
     if not values or values[0] != 0:
         return ModSetReport("invalid", ModSetViolation("missing-zero"))
@@ -190,9 +187,7 @@ def zero_sequence_value(n: int) -> int:
     Closed form: write n in binary and read those digits in ternary, so
     the values are exactly the integers whose base-3 digits are 0 or 1.
     """
-    n = _integer(n, "index")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    n = _integer(n, "index", 0)
     return sum(3**k for k in range(n.bit_length()) if n >> k & 1)
 
 
@@ -228,9 +223,7 @@ def family_set(index: int, side: str, shift: int = 0) -> tuple[int, ...]:
     modulus = family_modulus(index)
     if side not in FAMILY_SIDES:
         raise ValueError("side must be 'A' or 'B'")
-    shift = _integer(shift, "shift")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
+    shift = _integer(shift, "shift", 0)
     base = _FAMILY_BASE[index]
     if side == "B":
         base = tuple(2 * v for v in base)
@@ -415,14 +408,8 @@ def search_near_modular(
     at the budget; a pool stops within 2**14 nodes per branch in flight
     past it.
     """
-    ell, max_element = _integer(ell, "ell"), _integer(max_element, "max_element")
-    budget, workers = _integer(budget, "budget"), _integer(workers, "workers")
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element")
+    budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
     if max_element < size - 1:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import GreedySequence, _integers
+from .core import GreedySequence, _integer, _integers
 from .errors import InsufficientTermsError
 
 LOG2_3 = math.log2(3.0)
@@ -81,9 +81,8 @@ def character_at(seq, k: int) -> int:
     Purely diagnostic; the value may be negative or drift below the level
     where the block identities lock in.
     """
+    k = _integer(k, "depth", 0)
     terms = _terms_of(seq)
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
     if len(terms) <= 2**k:
         raise InsufficientTermsError(
             f"need more than {2**k} terms to evaluate level {k}"
@@ -110,9 +109,8 @@ def analyze_independence(seq, max_depth: int) -> AnalysisResult:
     (character, chi, repeat factor, verified depth) or a report naming the
     violation at the deepest level that rules the certificate out.
     """
+    max_depth = _integer(max_depth, "max_depth", 1)
     terms = _terms_of(seq)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
     need = 2**max_depth + 2 ** (max_depth - 1)
     if len(terms) < need:
         raise InsufficientTermsError(
@@ -174,9 +172,8 @@ def growth_stats(seq, sample_spacing: int = 1) -> GrowthReport:
     the maximum ratio over the trailing half of the sampled window, a
     crude stand-in for the limsup.  Descriptive only, no verdict.
     """
+    sample_spacing = _integer(sample_spacing, "sample_spacing", 1)
     terms = _terms_of(seq)
-    if sample_spacing < 1:
-        raise ValueError("sample_spacing must be positive")
     if len(terms) < 2:
         return GrowthReport(sample_spacing, (), math.nan, math.nan, math.nan)
 

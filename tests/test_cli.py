@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, schemas, env budget, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -10,9 +11,12 @@ import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stanley import basis, cli, core
 from stanley.cli import (
@@ -744,3 +748,88 @@ def test_entry_with_closed_reader_exits_zero_quietly(count):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed command lines.  Every run is small by construction: options that
+# set the work stay small, --workers stays 1, and huge numbers go only where
+# they are refused before any work (--lambda meets the cover cap, and seed
+# and element entries past 2**62 meet the value cap or exact arithmetic).
+
+_JUNK = st.sampled_from(["", ",,", "-0", "1e3", "0x10", "abc", " "])
+_HUGE = st.integers(10**25, 10**80)
+
+
+def _small(lo, hi):
+    # An integer in [lo, hi], sometimes written with leading zeros.
+    return st.one_of(st.integers(lo, hi).map(str), st.integers(0, hi).map("00{}".format))
+
+
+# A huge value one entry in ten, else a small one; 0 leads half the lists.
+_ENTRY = st.integers(0, 9).flatmap(
+    lambda k: st.one_of(_HUGE, _HUGE.map(int.__neg__)) if k == 0 else st.integers(-2, 40))
+_LIST = st.builds(lambda zero, rest: ",".join(map(str, [0] * zero + rest)),
+                  st.booleans(), st.lists(_ENTRY, min_size=1, max_size=5))
+
+# Per subcommand, each option's values; None marks a flag.
+_FUZZ_OPTIONS = {
+    "gen": {"--seed": _LIST, "--count": _small(-2, 200), "--limit": _small(-2, 200)},
+    "analyze": {"--seed": _LIST, "--depth": _small(-1, 6), "--count": _small(-2, 200)},
+    "modset": {"--elements": _LIST, "--modulus": st.one_of(_small(-2, 100), _HUGE.map(str)),
+               "--near": None},
+    "search": {"--ell": _small(-1, 2), "--max-element": _small(-1, 40),
+               "--budget": _small(-1, 10**4), "--workers": st.just("1"), "--first-only": None},
+    "character": {"--lambda": st.one_of(_small(-4, 400), _HUGE.map(str), _HUGE.map("-{}".format)),
+                  "--depth": _small(-1, 6), "--count": _small(-2, 200)},
+    "coverage": {"--modulus": _small(-6, 10**4)},
+    "growth": {"--seed": _LIST, "--count": _small(-2, 200), "--limit": _small(-2, 200),
+               "--spacing": _small(-1, 50)},
+    "explore": {"--head-length": _small(-1, 3), "--max-entry": _small(-1, 12),
+                "--budget": _small(-1, 10**4), "--workers": st.just("1")},
+    "families": {},
+}
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    # Each option is left out one time in ten, takes a junk token one time
+    # in ten (never --workers), and otherwise a value; flags are coin flips.
+    options = {**_FUZZ_OPTIONS[command], "--format": st.sampled_from(cli.FORMATS)}
+    pairs = []
+    for option, values in options.items():
+        if values is None:
+            if draw(st.booleans()):
+                pairs.append([option])
+            continue
+        kind = draw(st.sampled_from(["value"] * 8 + ["junk", "absent"]))
+        if kind == "junk" and option != "--workers":
+            pairs.append([option, draw(_JUNK)])
+        elif kind != "absent":
+            pairs.append([option, draw(values)])
+    return [command, *(arg for pair in draw(st.permutations(pairs)) for arg in pair)]
+
+
+def test_fuzz_draws_every_option_of_every_subcommand():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_FUZZ_OPTIONS)
+    for name, sub in subparsers.choices.items():
+        options = {s for a in sub._actions for s in a.option_strings}
+        assert options - {"-h", "--help", "--format"} == set(_FUZZ_OPTIONS[name])
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_OPTIONS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_command_lines_end_in_a_known_exit_code(command, data):
+    argv = data.draw(_fuzz_argv(command))
+    env = {"STANLEY_NODE_BUDGET": data.draw(st.one_of(_JUNK, _small(-1, 10**4)))}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_FINDING, EXIT_INPUT, EXIT_RESOURCE), (argv, env, code)
+    assert "Traceback" not in err.getvalue()

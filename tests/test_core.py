@@ -14,6 +14,7 @@ from stanley import (
     InvalidSeedError,
     NotRepresentableError,
     OverflowLimitError,
+    analyze_independence,
     character_at,
     compose_system,
     decompose,
@@ -23,6 +24,7 @@ from stanley import (
     family_modulus,
     family_set,
     generate,
+    growth_stats,
     has_3ap,
     is_admissible,
     minimal_generating_prefix,
@@ -32,10 +34,12 @@ from stanley import (
     validate_seed,
     verify_modular,
     verify_near_modular,
+    verify_plan,
     zero_sequence_value,
 )
 
 from stanley import core
+from stanley.basis import COVER_CAP
 
 from .naive import naive_first_3ap, naive_is_3ap_free, naive_marks, naive_stanley
 
@@ -314,9 +318,23 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: search_near_modular(1, 6, budget=0), ValueError, "budget must be positive"),
     (lambda: search_near_modular(1, 6, workers=0), ValueError, "workers must be positive"),
     (lambda: explore_basic_characters(2, 4, workers=0), ValueError, "workers must be positive"),
+    (lambda: search_near_modular(0, 6), ValueError, "ell must be positive"),
+    (lambda: analyze_independence([0, 1, 3, 4], 0), ValueError, "max_depth must be positive"),
+    (lambda: character_at([0, 1], -1), ValueError, "depth must be nonnegative"),
+    (lambda: growth_stats([0, 1], 0), ValueError, "sample_spacing must be positive"),
+    (lambda: Basis((1,)).element(-1), ValueError, "index must be nonnegative"),
+    (lambda: Basis((0, 3)), ValueError, "head entries must be positive"),
+    (lambda: verify_modular((-1, 0), 9), ValueError, "elements must be nonnegative"),
+    (lambda: explore_basic_characters(0, 4), ValueError, "head_length must be positive"),
+    (lambda: explore_basic_characters(2, 0), ValueError, "max_entry must be positive"),
+    (lambda: explore_basic_characters(2, 4, budget=-1), ValueError, "budget must be nonnegative"),
+    (lambda: verify_plan(plan_character(40), 0), ValueError, "depth must be positive"),
+    (lambda: generate([0]), ValueError, "need a count bound or a value limit"),
 ], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero",
         "modular_distinct", "modular_modulus", "zero_index", "family_index", "search_budget",
-        "search_workers", "explore_workers"])
+        "search_workers", "explore_workers", "search_ell", "analysis_depth", "character_depth",
+        "growth_spacing", "basis_index", "basis_head", "modular_negative", "explore_length",
+        "explore_entry", "explore_budget", "plan_depth", "generate_bounds"])
 def test_argument_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -394,6 +412,15 @@ def test_member_mask_paths_agree(members):
     # Bounds past int64 take object arrays of Python ints.
     member, bitmap, _ = core._member_mask(arr.astype(object), 2**64, 67)
     assert (member(queries.astype(object)) == want).all() and not bitmap
+
+
+def test_bitmap_serves_the_largest_cover_under_the_cap():
+    # A cover of COVER_CAP = 2**15 elements modulo N = 3**15 tiles 3 * 2**15
+    # residues over [0, 3N): its modular check looks them up in a 3**16-byte
+    # bitmap, not by binary search, which once took 94% of verify_plan.
+    members = np.arange(3 * COVER_CAP, dtype=np.int64)
+    _, bitmap, _ = core._member_mask(members, 3**16, COVER_CAP)
+    assert bitmap
 
 
 def test_has_3ap_memory_follows_set_size_not_span():

@@ -457,6 +457,9 @@ def kernel_layout(block_cells):
 
 LAYOUTS = [1 << 19, 1, 7, 40]
 
+# The most entries a residue bitmap may hold in the default layout.
+BITMAP_CAP = core._BITMAP_BLOCKS * 8 * core._BLOCK_CELLS
+
 
 def expected_violation(elements, modulus, strict):
     values = sorted(elements)
@@ -525,11 +528,11 @@ def test_verification_matches_oracle_on_mutated_covers(family, shift, data):
 @given(st.sets(st.integers(1, 3**14), max_size=6), st.integers(3 * 7**2 + 1, (8 << 19) // 3))
 @settings(max_examples=60, deadline=None)
 def test_verification_matches_oracle_where_search_meets_a_small_modulus(elements, modulus):
-    # 3N fits one default block's bytes but exceeds 9|A|**2, so the default
+    # 3N fits the default bitmap cap but exceeds 9|A|**2, so the default
     # layout looks residues up by binary search and reduces covering cells
     # mod N, where a lifted 3N cover bitmap once served.
     elements = sorted({0, *elements})
-    assert 3 * modulus <= 8 * core._BLOCK_CELLS and modulus > 3 * len(elements) ** 2
+    assert 3 * modulus <= BITMAP_CAP and modulus > 3 * len(elements) ** 2
     assert_matches_oracle(elements, modulus)
 
 
@@ -577,8 +580,8 @@ def test_verification_is_exact_past_int64():
 def test_verification_reduces_covering_cells_past_the_lifted_bitmap():
     # 3N is past the lifted bitmap in every layout, so covering cells are
     # reduced mod N; a few elements leave residues above P uncovered.
-    modulus = 3**14
-    assert 3 * modulus > 8 * core._BLOCK_CELLS
+    modulus = 3**16
+    assert 3 * modulus > BITMAP_CAP
     for elements in (
         [0, 1, 3, 9 + modulus],
         [0, 1, 3, 9, 27 + 2 * modulus, 81],
