@@ -28,7 +28,6 @@ character equals the target exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -44,7 +43,7 @@ from .errors import (
     NotRealizableError,
     PlanVerificationError,
 )
-from .modsets import FAMILY_INDICES, NearModularSet, _worker_count, family_set
+from .modsets import FAMILY_INDICES, NearModularSet, _branches, family_set
 # Unused here; perfbench/tests/test_perfbench.py asserts this name is modsets' function.
 from .modsets import verify_modular  # noqa: F401
 
@@ -296,9 +295,10 @@ _EXPLORE_DEPTH = 5
 _EXPLORE_TERMS = 2 ** (_EXPLORE_DEPTH + 1)
 
 
-def _explore_branch(job) -> list[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+def _explore_branch(job, counter=None) -> list[tuple[tuple[int, ...], str, tuple[int, ...]]]:
     # The (head, tail, expansion) survivors among the heads of one length
-    # and first entry, in lexicographic order, the power tail first.
+    # and first entry, in lexicographic order, the power tail first.  No
+    # node is counted: the budget was checked before any branch ran.
     length, first, max_entry = job
     power = 3 ** (length - 1)
     survivors = []
@@ -339,8 +339,8 @@ def explore_basic_characters(
     candidate expansions.  The survey splits once, into one branch per
     head length and first entry; each hands back only its survivors, so
     memory grows with the survivors, not the candidates, and results are
-    identical for every worker count.  No more than ``workers`` processes
-    start, nor more than there are branches or usable CPUs.
+    identical for every worker count.  Search's runner, modsets._branches,
+    runs them in at most ``workers`` processes, branches or usable CPUs.
     """
     head_length = core._integer(head_length, "head_length", 1)
     max_entry = core._integer(max_entry, "max_entry", 1)
@@ -369,16 +369,9 @@ def explore_basic_characters(
     jobs = [(length, first, max_entry)
             for length in range(1, head_length + 1)
             for first in range(1, max_entry - length + 2)]
-
-    workers = _worker_count(workers, len(jobs))
-    if workers == 1:
-        branches = map(_explore_branch, jobs)
-    else:
-        with ProcessPoolExecutor(workers) as pool:
-            branches = list(pool.map(_explore_branch, jobs, chunksize=1))
-
     results: list[ExploredBasis] = []
     seen: set[tuple[int, ...]] = set()
+    branches = _branches(_explore_branch, jobs, workers)
     for head, tail_kind, expansion in chain.from_iterable(branches):
         if expansion in seen:
             continue

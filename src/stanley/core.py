@@ -309,7 +309,14 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     # The sieve loop of generate.  ``seed_t`` must be increasing, start at
     # 0 and be free of 3-APs; the bounds must pass generate's checks.
     # Callers that hold a verified cover skip generate's re-validation.
-    terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
+    try:
+        terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
+    except ValueError:  # numpy refuses the size before trying to allocate
+        try:
+            text = f"{count} terms"
+        except ValueError:  # more digits than int-to-str conversion allows
+            text = f"a {count.bit_length()}-bit count of terms"
+        raise MemoryError(f"cannot allocate {text}") from None
     terms_buf[: len(seed_t)] = seed_t
     buf = np.empty_like(terms_buf)
     terms = list(seed_t)

@@ -33,15 +33,18 @@ residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
 close a progression exactly when c mod N lies in {2a - b, (a + b)/2 : a, b
 chosen}, so a candidate is checked with one lookup, and admitting an
 element closes O(|chosen|) residues.  The tree is split once, at the first
-middle element v1: one branch (0, v1) per legal v1, run in this process
-or in a pool.  Every branch reports its nodes to one counter and raises
-once the counter as last read plus its nodes not yet added pass the
-budget.  A first-only search runs the branches in order and stops at the
-first hit, counting nodes only up to it.
+middle element v1: one branch (0, v1) per legal v1, run in order by
+_branches, the runner explore_basic_characters shares: in this process,
+or in a pool of no more processes than branches or usable CPUs.  Every
+branch reports its nodes to one counter and raises once the counter as
+last read plus its nodes not yet added pass the budget.  A first-only
+search runs in this process and stops at the first hit, counting nodes
+only up to it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -281,8 +284,8 @@ def _covers(chosen: Sequence[int], modulus: int) -> bool:
     return all(covered)
 
 
-# In a pool worker, the node counter of the running search, installed by
-# the pool's initializer.  A branch adds its nodes to its counter every
+# In a pool worker, the counter of the running fan-out, installed by the
+# pool's initializer.  A search branch adds its nodes to its counter every
 # _SHARE_NODES nodes, before it raises, and when it ends.
 _pool_nodes = None
 _SHARE_NODES = 1 << 14
@@ -293,8 +296,23 @@ def _install_counter(counter) -> None:
     _pool_nodes = counter
 
 
-def _pool_branch(job) -> list[tuple[int, ...]]:
-    return _branch_search(job, _pool_nodes)
+def _pool_call(fn, job):
+    return fn(job, _pool_nodes)
+
+
+def _branches(fn, jobs: list, workers: int, counter=None):
+    # fn(job, counter) for each job, in job order.  At most one worker per
+    # job and usable CPU is worth starting; with one, the jobs run lazily
+    # in this process, else in a pool.  A raise from a branch, or closing
+    # the generator, cancels every branch not yet handed out.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(jobs), cpus or 1)
+    if workers <= 1:
+        yield from (fn(job, counter) for job in jobs)
+        return
+    with ProcessPoolExecutor(workers, initializer=_install_counter,
+                             initargs=(counter,)) as pool:
+        yield from pool.map(functools.partial(_pool_call, fn), jobs, chunksize=1)
 
 
 def _branch_search(job, counter) -> list[tuple[int, ...]]:
@@ -368,15 +386,6 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
     return found
 
 
-def _worker_count(requested: int, jobs: int) -> int:
-    # Processes worth starting: no more than the jobs or the usable CPUs.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(requested, jobs, cpus))
-
-
 def search_near_modular(
     ell: int,
     max_element: int,
@@ -395,10 +404,10 @@ def search_near_modular(
     ``max_element`` legal; every full set is then checked for coverage.
     The tree splits once, at the first middle element v1: one branch per
     legal v1, each walked in ascending order, so results come back sorted,
-    duplicate-free and identical for every worker count.  No more
-    processes start than there are branches or usable CPUs.
-    ``first_only`` runs the branches in this process, in order, and stops
-    at the first hit, the lexicographically first set.
+    duplicate-free and identical for every worker count.  _branches runs
+    them in at most ``workers`` processes, branches or usable CPUs;
+    ``first_only`` runs them in this process, in order, and stops at the
+    first hit, the lexicographically first set.
 
     A node is one candidate examined, plus one leaf check for each legal
     candidate for the last middle slot; a first_only search counts the
@@ -427,22 +436,11 @@ def search_near_modular(
     # last reads the exact total, so the pool raises exactly when a serial
     # search would.
     counter = multiprocessing.Value("q", stop - 1)
-    workers = _worker_count(workers, len(jobs))
     results: list[tuple[int, ...]] = []
-
-    if workers == 1 or first_only:
-        for job in jobs:
-            results.extend(_branch_search(job, counter))
-            if first_only and results:
-                break
-    else:
-        # The raise closes the map, which cancels every branch not yet
-        # handed to a worker.
-        with ProcessPoolExecutor(workers, initializer=_install_counter,
-                                 initargs=(counter,)) as pool:
-            for found in pool.map(_pool_branch, jobs, chunksize=1):
-                results.extend(found)
-
+    for found in _branches(_branch_search, jobs, 1 if first_only else workers, counter):
+        results.extend(found)
+        if first_only and results:
+            break
     return [
         NearModularSet(r, modulus, "modular" if r[-1] < modulus else "near-modular-only")
         for r in results

@@ -11,6 +11,9 @@ from stanley import (
     Decomposition,
     DuplicateSumError,
     InvalidSystemError,
+    ModSetReport,
+    ModSetViolation,
+    NotModularError,
     NotRepresentableError,
     compose,
     compose_system,
@@ -26,6 +29,7 @@ from stanley import (
 )
 
 from stanley import basis
+from stanley.cli import main
 
 from .naive import naive_expansion, naive_subset_sums
 
@@ -280,6 +284,23 @@ def test_modularize_refuses_covers_past_the_cap(monkeypatch):
         modularize(sys2)
 
 
+def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
+    # The composition invariant makes every cover modular, so the failure
+    # is forced: the check is replaced by one that reports a violation.
+    report = ModSetReport("invalid", ModSetViolation("missing-zero"))
+    monkeypatch.setattr(basis, "verify_modular", lambda values, modulus: report)
+    with pytest.raises(NotModularError) as err:
+        modularize(compose_system((0,), ell=0, head=(2, 6)))
+    assert err.value.report is report
+    assert str(err.value) == (
+        "composition invariant broken: cover fails modularity at 9: "
+        "ModSetViolation(kind='missing-zero', details=())"
+    )
+    # The CLI reports it as a negative finding.
+    assert main(["character", "--lambda", "8"]) == 1
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
 def test_hand_built_systems_with_a_collision_raise():
     # compose_system rejects both; built directly, each reaches one value
     # twice.  Here 9 = 9 + 0 = 0 + b_1.
@@ -335,6 +356,12 @@ def test_decompose_rejects_non_members():
             decompose(v, sys1)
     with pytest.raises(NotRepresentableError):
         decompose(-5, sys1)
+
+
+def test_decompose_refuses_a_rest_that_turns_negative():
+    # 1 = b_0 = 4 (mod 3), so delta_0 = 1 is pinned, but 1 - 4 < 0.
+    with pytest.raises(NotRepresentableError, match=r"^1 is not a member value$"):
+        decompose(1, compose_system((0,), 0, head=(4,)))
 
 
 @given(st.integers(0, 2**40))

@@ -33,7 +33,7 @@ from stanley import (
     verify_modular,
     verify_plan,
 )
-from stanley import characters, core, structure
+from stanley import characters, core, modsets, structure
 from stanley.cli import main
 
 from .naive import naive_basis_cover, naive_basis_head, naive_residue_coverage
@@ -155,6 +155,19 @@ def test_basis_heads_match_the_backtracking_oracle():
     for mu in list(range(20000)) + drawn:
         if mu % 3 != 2:
             assert characters._basis_head_for(mu) == naive_basis_head(mu), mu
+
+
+@pytest.mark.parametrize("head, message", [
+    ((3,), "head (3,) breaks valuation at 0"),
+    ((2,), "head (2,) realizes 2, wanted 8"),
+], ids=["valuation", "sum"])
+def test_plan_character_checks_every_emitted_head(monkeypatch, head, message):
+    # A planner bug is caught before the plan leaves plan_character: 3 is
+    # divisible by 3 = 3**(0 + 1), and (2,) sums to 2 * (2 - 1).
+    monkeypatch.setattr(characters, "_basis_head_for", lambda mu: head)
+    with pytest.raises(PlanVerificationError) as err:
+        plan_character(8)
+    assert str(err.value) == message
 
 
 def test_plans_targets_with_a_thousand_ternary_digits():
@@ -488,7 +501,7 @@ def test_explore_pool_maps_one_branch_per_length_and_first_entry(monkeypatch):
                 yield returned[-1][1]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
     results = explore_basic_characters(2, 9, workers=2)
     assert [job for job, _ in returned] == (
         [(1, first, 9) for first in range(1, 10)] + [(2, first, 9) for first in range(1, 9)]

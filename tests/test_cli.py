@@ -656,8 +656,20 @@ def test_env_budget_invalid_value(capsys, monkeypatch):
     # A total of more than 4300 digits is too long for str(): its size is given.
     (("explore", "--head-length", "15000", "--max-entry", "15000", "--budget", "1"), None,
      EXIT_RESOURCE, "error: a 15001-bit count of candidate heads exceeds the budget 1\n"),
+    # Term counts whose buffer numpy refuses to size at all.
+    (("gen", "--seed", "0", "--count", str(2**60)), None, EXIT_RESOURCE,
+     f"error: out of memory: cannot allocate {2**60} terms\n"),
+    (("gen", "--seed", "0", "--count", str(2**62)), None, EXIT_RESOURCE,
+     f"error: out of memory: cannot allocate {2**62} terms\n"),
+    (("gen", "--seed", "0", "--count", str(2**70)), None, EXIT_RESOURCE,
+     f"error: out of memory: cannot allocate {2**70} terms\n"),
+    (("analyze", "--seed", "0", "--depth", "200"), None, EXIT_RESOURCE,
+     f"error: out of memory: cannot allocate {2**200 + 2**199} terms\n"),
+    (("analyze", "--seed", "0", "--depth", "20000"), None, EXIT_RESOURCE,
+     "error: out of memory: cannot allocate a 20001-bit count of terms\n"),
 ], ids=["seed_not_integers", "seed_empty", "env_budget_zero", "analyze_too_few_terms",
-        "explore_total_past_str_limit"])
+        "explore_total_past_str_limit", "gen_count_2_60", "gen_count_2_62", "gen_count_2_70",
+        "analyze_depth_200", "analyze_depth_past_str_limit"])
 def test_input_and_resource_errors(capsys, monkeypatch, argv, env_budget, code, message):
     if env_budget is not None:
         monkeypatch.setenv("STANLEY_NODE_BUDGET", env_budget)

@@ -202,11 +202,15 @@ def test_search_worker_counts_agree():
 
 @pytest.mark.parametrize(
     "requested,cpus,expected",
-    [(2, 2, 2), (64, 2, 2), (64, 8, 8), (10**9, 128, "jobs"), (3, 1, None)],
+    [(2, 2, 2), (64, 2, 2), (64, 8, 8), (10**9, 128, "jobs"), (3, 1, None),
+     pytest.param(64, ("cpu_count", 8), 8, id="64-cpu_count_8-8"),
+     pytest.param(3, ("cpu_count", None), None, id="3-cpu_count_None-None")],
 )
 def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
     # No process starts: the pool runs in this process and records the
     # worker count it was asked for, and the CPU affinity is patched.
+    # ("cpu_count", n): the platform has no CPU affinity and os.cpu_count()
+    # returns n, where None counts as one CPU.
     sizes = []
 
     class FakePool:
@@ -227,10 +231,13 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if isinstance(cpus, tuple):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(modsets, "_pool_nodes", None)  # the in-process initializer sets it
-    monkeypatch.setattr(characters, "ProcessPoolExecutor", FakePool)
     jobs = {"search": 12, "explore": 17}  # first middle elements; (head length, first entry) pairs
     for name, run in (
         ("search", lambda: search_near_modular(2, 18, workers=requested)),
@@ -407,11 +414,11 @@ def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
     job = (prefix, 27, 8, 36, spent + nodes, False)
     counter = multiprocessing.Value("q", spent)
     monkeypatch.setattr(modsets, "_pool_nodes", counter)
-    assert modsets._pool_branch(job) == found
+    assert modsets._pool_call(modsets._branch_search, job) == found
     assert counter.value == spent + nodes
     counter.value = spent + 1  # another branch has spent one node
     with pytest.raises(BudgetExceededError):
-        modsets._pool_branch(job)
+        modsets._pool_call(modsets._branch_search, job)
     assert counter.value == spent + 1 + nodes  # it overran on its last node
     # Another branch spends as much again while this one runs, after its
     # first share.  The branch reads that at its next share, every
@@ -427,7 +434,7 @@ def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
     monkeypatch.setattr(modsets, "_admit", busy_admit)
     monkeypatch.setattr(modsets, "_SHARE_NODES", 64)
     with pytest.raises(BudgetExceededError):
-        modsets._pool_branch(job)
+        modsets._pool_call(modsets._branch_search, job)
     assert spent + nodes < counter.value < spent + nodes + 64 + 2 * 36 < spent + 2 * nodes
 
 
