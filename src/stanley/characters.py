@@ -20,10 +20,11 @@ the shifted family set with the all-powers tail basis; a basis recipe is
 the degenerate system A = {0}, ell = 0, whose composition is the
 subset-sum expansion of the head and powers.  CharacterPlan.cover, its
 modularize cover, is likewise built and verified once per plan; compose
-gives the realization.  verify_plan is the one certifier: it reproduces
-the realization term by term from the cover with the greedy generator
-itself, re-analyzes it for independence, and insists the certificate's
-character equals the target exactly.
+gives the realization.  verify_plan is the one certifier: it checks the
+realization against the greedy sieve's marks seeded with the cover, one
+fill per sieve window (core._greedy_run), re-analyzes it for
+independence, and insists the certificate's character equals the target
+exactly.  Explore checks each survivor's expansion the same way.
 """
 
 from __future__ import annotations
@@ -182,12 +183,12 @@ def realize_plan(
 def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCertificate:
     """Cross-check a plan against the greedy generator and certify it.
 
-    Seeds the greedy generator with the plan's modular cover, compares the
-    greedy output against the realization term by term, then runs the
-    independence analysis and insists the certified character equals the
-    target.  The analysis depth is raised to the cover's block scale when
-    that exceeds ``depth``, so the certificate always reaches the level
-    where the block structure locks in.
+    Checks that the realization is the greedy run seeded with the plan's
+    modular cover, against the sieve's marks one window fill at a time,
+    then runs the independence analysis and insists the certified
+    character equals the target.  The analysis depth is raised to the cover's block scale
+    when that exceeds ``depth``, so the certificate always reaches the
+    level where the block structure locks in.
     """
     depth = core._integer(depth, "depth", 1)
     cover = plan.cover
@@ -195,15 +196,19 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     eff_depth = max(depth, block_scale)
     n_terms = 2 ** (eff_depth + 1)
 
+    # Sized before anything is composed: a count numpy refuses to size
+    # raises MemoryError here.
+    run = core._term_array(n_terms)
     realization = realize_plan(plan, count=n_terms)
+    run[:] = realization
     # The cover passed verify_modular, so it is increasing, starts at 0 and
-    # is 3-AP-free: the sieve runs without generate's re-validation.  No
-    # greedy term past the last realized one is ever compared, so the sieve
-    # stops at that value.  A run that stops short diverges where it
-    # stopped, and only then is its next term, past the bound, computed.
-    greedy = core._extend(cover.elements, n_terms, realization[-1])
-    got = list(greedy.terms)
-    if got != realization:
+    # is 3-AP-free: a valid seed without generate's re-validation.
+    if not core._greedy_run(cover.elements, run):
+        # Only a failed check regenerates the run, to name the divergence.
+        # No greedy term past the last realized one is compared, so the
+        # sieve stops at that value.  A run that stops short diverges where
+        # it stopped, and only then is its next term, past the bound, computed.
+        got = core._extend(cover.elements, n_terms, realization[-1]).terms
         idx = next((i for i, (g, w) in enumerate(zip(got, realization)) if g != w), len(got))
         if idx == len(got):
             got = core._extend(cover.elements, idx + 1, None).terms
@@ -212,6 +217,7 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
             f"{idx}: greedy {got[idx]}, realized {realization[idx]}"
         )
 
+    greedy = core.GreedySequence(cover.elements, tuple(realization))
     result = structure.analyze_independence(greedy, max_depth=eff_depth)
     if not result.independent:
         raise PlanVerificationError(
@@ -312,11 +318,11 @@ def _explore_branch(job, counter=None) -> list[tuple[tuple[int, ...], str, tuple
                 expansion = expand_basis(basis, count=_EXPLORE_TERMS)
                 first_tail = basis.element(length)
                 prefix = tuple(v for v in expansion if v < first_tail)
-                # generate validates the prefix as a seed: one has_3ap pass.
-                greedy = core.generate(prefix, count=len(expansion))
+                # One has_3ap pass validates the prefix as a seed.
+                seed = core.validate_seed(prefix)
             except (DuplicateSumError, InvalidSeedError):
                 continue
-            if list(greedy.terms) == expansion:
+            if core._greedy_run(seed, expansion):
                 survivors.append((head, tail_kind, tuple(expansion)))
     return survivors
 
@@ -332,7 +338,8 @@ def explore_basic_characters(
     Enumerates strictly increasing heads up to ``head_length`` entries
     with values up to ``max_entry``, under both tail rules, keeps the ones
     whose expansion is reproduced exactly by the greedy generator seeded
-    with the sub-tail prefix, and analyzes each survivor.  Purely
+    with the sub-tail prefix, checked against the sieve's marks one window
+    fill at a time, and analyzes each survivor.  Purely
     observational and makes no completeness claim; this is where odd
     characters (such as 7, from the head (1, 7, 10) continued
     geometrically) become visible.  ``budget`` caps the number of
@@ -361,11 +368,9 @@ def explore_basic_characters(
                 total -= comb(p - 1, length - 1)
             p *= 3
         if total > budget:
-            try:
-                heads_text = f"{total} candidate heads exceed"
-            except ValueError:  # more digits than int-to-str conversion allows
-                heads_text = f"a {total.bit_length()}-bit count of candidate heads exceeds"
-            raise BudgetExceededError(f"{heads_text} the budget {budget}")
+            text = core._count_text(total, "candidate heads")
+            verb = "exceeds" if text.startswith("a ") else "exceed"
+            raise BudgetExceededError(f"{text} {verb} the budget {budget}")
     jobs = [(length, first, max_entry)
             for length in range(1, head_length + 1)
             for first in range(1, max_entry - length + 2)]

@@ -186,7 +186,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
     required = 2**args.depth + 2 ** (args.depth - 1)
     count = args.count if args.count is not None else required
     if count < required:
-        raise ValueError(f"depth {args.depth} needs at least {required} terms")
+        needed = core._count_text(required, "terms")
+        raise ValueError(f"depth {args.depth} needs at least {needed}")
     seq = core.generate(args.seed, count=count)
     result = structure.analyze_independence(seq, max_depth=args.depth)
     record = {"independent": result.independent, **asdict(result)}

@@ -34,6 +34,16 @@ window's top.  Under a value limit a window ends at the limit.  Memory is
 O(window + n) whatever the values: a window holds at least _MIN_WINDOW
 values under a term count and never more than _WINDOW bytes.
 
+A run already in hand, such as a composed realization, is checked
+against the greedy run of its seed by _greedy_run with the same window
+fill and no per-term loop: each window of at most _WINDOW values over
+(max(seed), last term] takes the marks of every pair of the run at once,
+and the run is accepted when no term in a window is marked and every other
+value is.  That is exact, by induction on the value v: a mark at v comes
+from a pair x < y < v, so once the run agrees with the greedy run below v,
+the marks at v are the greedy run's own, and v is a greedy term exactly
+when it is unmarked.
+
 Seed validation runs has_3ap, a vectorized pass over row blocks of the
 pair table 2y - x: O(n^2) membership probes for n seed values, with
 O(n * B) working memory for blocks of B rows.  Probes go to a byte bitmap
@@ -161,6 +171,24 @@ def _bounds(count, limit, least=1) -> tuple[int | None, int | None]:
         raise ValueError("need a count bound or a value limit")
     return (None if count is None else _integer(count, "count", least),
             None if limit is None else _integer(limit, "limit"))
+
+
+def _count_text(count: int, noun: str) -> str:
+    # "<count> <noun>", or, for a count with more digits than int-to-str
+    # conversion allows, "a <bits>-bit count of <noun>".
+    try:
+        return f"{count} {noun}"
+    except ValueError:
+        return f"a {count.bit_length()}-bit count of {noun}"
+
+
+def _term_array(count: int) -> np.ndarray:
+    # An int64 array of ``count`` zeros.  numpy refuses some sizes before
+    # trying to allocate; that refusal becomes a MemoryError too.
+    try:
+        return np.zeros(count, dtype=np.int64)
+    except ValueError:
+        raise MemoryError(f"cannot allocate {_count_text(count, 'terms')}") from None
 
 
 def has_3ap(elements: Iterable[int]) -> APWitness | None:
@@ -309,14 +337,7 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     # The sieve loop of generate.  ``seed_t`` must be increasing, start at
     # 0 and be free of 3-APs; the bounds must pass generate's checks.
     # Callers that hold a verified cover skip generate's re-validation.
-    try:
-        terms_buf = np.zeros(max(count or 0, len(seed_t), 1024), dtype=np.int64)
-    except ValueError:  # numpy refuses the size before trying to allocate
-        try:
-            text = f"{count} terms"
-        except ValueError:  # more digits than int-to-str conversion allows
-            text = f"a {count.bit_length()}-bit count of terms"
-        raise MemoryError(f"cannot allocate {text}") from None
+    terms_buf = _term_array(max(count or 0, len(seed_t), 1024))
     terms_buf[: len(seed_t)] = seed_t
     buf = np.empty_like(terms_buf)
     terms = list(seed_t)
@@ -373,6 +394,45 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     return GreedySequence(seed_t, tuple(terms))
 
 
+def _greedy_run(seed_t: tuple[int, ...], terms: Sequence[int]) -> bool:
+    # Are ``terms`` the first len(terms) terms of the greedy run of the
+    # valid seed ``seed_t``?  One window fill per window of at most _WINDOW
+    # values over (seed_t[-1], terms[-1]], with the same marks and memory
+    # bound as _extend (see the module docstring for why it is exact).
+    k = len(seed_t)
+    if tuple(terms[:k]) != seed_t:
+        return False
+    try:
+        run = np.asarray(terms, dtype=np.int64)
+    except OverflowError:
+        run = None
+    if run is None or (len(run) > k and run.max() >= VALUE_CAP // 2):
+        # Past the sieve's int64 range _extend decides, and raises
+        # OverflowLimitError where its run would cross it.
+        return _extend(seed_t, len(terms), None).terms == tuple(terms)
+    if np.any(run[k:] <= run[k - 1 : -1]):
+        return False
+    last = int(run[-1])
+    base = seed_t[-1] + 1
+    sieve = bytearray(min(_WINDOW, last + 1 - base))
+    buf = np.empty_like(run)
+    j = k  # run[j:] lie at or above base
+    while base <= last:
+        size = min(len(sieve), last + 1 - base)
+        blocked = np.frombuffer(sieve, dtype=bool, count=size)
+        blocked.fill(False)
+        # Pairs with y at or past the window's top mark only above it.
+        i = int(np.searchsorted(run, base + size))
+        _mark_pairs(blocked, run[:i], base, buf)
+        # Flipping the terms' flags leaves no zero byte exactly when every
+        # term was free and every other value blocked.
+        blocked[run[j:i] - base] ^= True
+        if sieve.find(0, 0, size) >= 0:
+            return False
+        base, j = base + size, i
+    return True
+
+
 def minimal_generating_prefix(terms: Sequence[int]) -> int:
     """Length of the shortest prefix that greedily regenerates ``terms``.
 
@@ -386,7 +446,7 @@ def minimal_generating_prefix(terms: Sequence[int]) -> int:
         raise ValueError("sequence must start at 0")
 
     def works(p: int) -> bool:
-        return generate(values[:p], count=len(values)).terms == values
+        return _greedy_run(validate_seed(values[:p]), values)
 
     lo, hi = 1, len(values)
     while lo < hi:

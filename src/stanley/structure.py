@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import GreedySequence, _integer, _integers
+from .core import GreedySequence, _count_text, _integer, _integers
 from .errors import InsufficientTermsError
 
 LOG2_3 = math.log2(3.0)
@@ -85,7 +85,7 @@ def character_at(seq, k: int) -> int:
     terms = _terms_of(seq)
     if len(terms) <= 2**k:
         raise InsufficientTermsError(
-            f"need more than {2**k} terms to evaluate level {k}"
+            f"need more than {_count_text(2**k, 'terms')} to evaluate level {k}"
         )
     return 2 * terms[2**k - 1] - terms[2**k] + 1
 
@@ -114,7 +114,7 @@ def analyze_independence(seq, max_depth: int) -> AnalysisResult:
     need = 2**max_depth + 2 ** (max_depth - 1)
     if len(terms) < need:
         raise InsufficientTermsError(
-            f"depth {max_depth} needs at least {need} terms, got {len(terms)}"
+            f"depth {max_depth} needs at least {_count_text(need, 'terms')}, got {len(terms)}"
         )
 
     lam = [2 * terms[2**k - 1] - terms[2**k] + 1 for k in range(max_depth + 1)]

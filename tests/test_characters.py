@@ -16,10 +16,12 @@ from stanley import (
     Basis,
     BasisRecipe,
     BudgetExceededError,
+    DuplicateSumError,
     FamilyRecipe,
     IdentityViolation,
     IndependenceCertificate,
     IndependenceReport,
+    InvalidSeedError,
     NotRealizableError,
     PlanVerificationError,
     analyze_independence,
@@ -318,6 +320,28 @@ def test_certify_reports_the_first_divergence(monkeypatch, lam, idx, step):
     )
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("not expected on this path")
+
+
+@pytest.mark.parametrize("lam", [0, 8, 40, 1540, 3000])
+def test_verify_plan_certifies_without_regenerating(monkeypatch, lam):
+    # The realization is checked against the sieve's marks; _extend runs
+    # only when the check fails, to name the divergence.
+    plan = plan_character(lam)
+    plan.cover
+    monkeypatch.setattr(core, "_extend", _refuse)
+    monkeypatch.setattr(core, "generate", _refuse)
+    assert verify_plan(plan).character == lam
+
+
+def test_verify_plan_refuses_an_unallocatable_count_before_composing(monkeypatch):
+    # Depth 200 asks for 2**201 terms; composing them first never ends.
+    monkeypatch.setattr(characters, "realize_plan", _refuse)
+    with pytest.raises(MemoryError, match=f"^cannot allocate {2**201} terms$"):
+        verify_plan(plan_character(10), depth=200)
+
+
 def test_realize_plan_bounds():
     plan = plan_character(8)
     by_count = realize_plan(plan, count=50)
@@ -418,8 +442,8 @@ def realize_plan_like(result):
 
 
 def test_explore_validates_each_seed_once(monkeypatch):
-    # generate validates its seed with has_3ap; explore adds no check of
-    # its own on top.
+    # validate_seed runs has_3ap once per prefix; explore adds no check of
+    # its own on top, and checks survivors without generate.
     calls = Counter()
 
     def counted(name, fn):
@@ -430,10 +454,43 @@ def test_explore_validates_each_seed_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(core, "has_3ap", counted("has_3ap", core.has_3ap))
+    monkeypatch.setattr(core, "validate_seed", counted("validate_seed", core.validate_seed))
     monkeypatch.setattr(core, "generate", counted("generate", core.generate))
     explore_basic_characters(2, 12)
-    assert calls["generate"] > 0
-    assert calls["has_3ap"] == calls["generate"]
+    assert calls["validate_seed"] > 0
+    assert calls["has_3ap"] == calls["validate_seed"]
+    assert calls["generate"] == 0
+
+
+def _explore_branch_oracle(length, first, max_entry):
+    # A branch by generate and compare: the greedy run from the sub-tail
+    # prefix, regenerated term by term.
+    survivors = []
+    for rest in combinations(range(first + 1, max_entry + 1), length - 1):
+        head = (first, *rest)
+        for tail in ("power",) if head[-1] == 3 ** (length - 1) else ("power", "geometric"):
+            basis = Basis(head, geometric_tail=(tail == "geometric"))
+            try:
+                expansion = expand_basis(basis, count=characters._EXPLORE_TERMS)
+                prefix = [v for v in expansion if v < basis.element(length)]
+                greedy = generate(prefix, count=len(expansion))
+            except (DuplicateSumError, InvalidSeedError):
+                continue
+            if list(greedy.terms) == expansion:
+                survivors.append((head, tail, tuple(expansion)))
+    return survivors
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("max_entry", [3, 7, 12])
+def test_explore_survivors_match_a_generate_and_compare_oracle(monkeypatch, length, max_entry):
+    jobs = [(length, first, max_entry) for first in range(1, max_entry - length + 2)]
+    want = [_explore_branch_oracle(*job) for job in jobs]
+    monkeypatch.setattr(core, "generate", _refuse)
+    monkeypatch.setattr(core, "_extend", _refuse)
+    assert [characters._explore_branch(job) for job in jobs] == want
+    if max_entry == 12:
+        assert any(want)
 
 
 def test_explore_budget_checked_before_enumeration():

@@ -667,9 +667,15 @@ def test_env_budget_invalid_value(capsys, monkeypatch):
      f"error: out of memory: cannot allocate {2**200 + 2**199} terms\n"),
     (("analyze", "--seed", "0", "--depth", "20000"), None, EXIT_RESOURCE,
      "error: out of memory: cannot allocate a 20001-bit count of terms\n"),
+    (("analyze", "--seed", "0", "--depth", "20000", "--count", "5"), None, EXIT_INPUT,
+     "error: depth 20000 needs at least a 20001-bit count of terms\n"),
+    # The certificate's term count is sized before the realization is composed.
+    (("character", "--lambda", "10", "--depth", "200"), None, EXIT_RESOURCE,
+     f"error: out of memory: cannot allocate {2**201} terms\n"),
 ], ids=["seed_not_integers", "seed_empty", "env_budget_zero", "analyze_too_few_terms",
         "explore_total_past_str_limit", "gen_count_2_60", "gen_count_2_62", "gen_count_2_70",
-        "analyze_depth_200", "analyze_depth_past_str_limit"])
+        "analyze_depth_200", "analyze_depth_past_str_limit", "analyze_count_below_a_huge_depth",
+        "character_depth_200"])
 def test_input_and_resource_errors(capsys, monkeypatch, argv, env_budget, code, message):
     if env_budget is not None:
         monkeypatch.setenv("STANLEY_NODE_BUDGET", env_budget)

@@ -128,6 +128,71 @@ def test_count_equal_to_seed_returns_seed():
     assert generate([0, 1, 7], count=3).terms == (0, 1, 7)
 
 
+@given(ap_free_seeds(), st.integers(0, 120), st.sampled_from([core._WINDOW, 1, 7, 45]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_greedy_run_check_matches_the_naive_oracle_and_extend(seed, extra, window, data):
+    # The check accepts every true run.  With one term past the seed moved,
+    # dropped or inserted, it answers as regenerating the run with _extend
+    # does.  Small window caps make a run cross several windows.
+    run = naive_stanley(seed, len(seed) + extra)
+    with mock.patch.object(core, "_WINDOW", window):
+        assert core._greedy_run(seed, run)
+        if not extra:
+            return
+        mutated = list(run)
+        i = data.draw(st.integers(len(seed), len(run) - 1), label="index")
+        kind = data.draw(st.sampled_from(["move", "drop", "insert"]), label="kind")
+        if kind != "insert":
+            del mutated[i]
+        if kind != "drop":
+            mutated.append(data.draw(st.integers(seed[-1] + 1, run[-1] + 3), label="value"))
+            mutated.sort()
+        want = core._extend(seed, len(mutated), None).terms == tuple(mutated)
+        assert core._greedy_run(seed, mutated) == want
+
+
+@pytest.mark.parametrize("seed, run, want", [
+    ((0, 1), (0, 1), True),
+    ((0, 1), (0, 3, 4), False),
+    ((0, 1), (0, 1, 4), False),
+    ((0, 1), (0, 1, 3, 3), False),
+    ((0, 1), (0, 1, 4, 3), False),
+    # Unsorted, the terms of the one window up to 5 would pass.
+    ((0,), (0, 1, 3, 4, 9, 10, 12, 13, 5), False),
+    # Above the seed's max the run looks greedy; only its prefix differs.
+    ((0, 4), (0, 1, 5), False),
+    ((0,), (0, 1, 2**70), False),
+], ids=["seed_only", "other_prefix", "skips_a_free_value", "repeat", "decreasing",
+        "unsorted_tail", "seed_differs_below_its_max", "past_int64"])
+def test_greedy_run_check_edges(seed, run, want):
+    assert core._greedy_run(seed, run) is want
+
+
+@pytest.mark.parametrize("seed, count", [((0, 2**61 - 3), 4), ((0, 2**61 + 7), 3),
+                                         ((0, 2**62 - 5), 3)])
+def test_greedy_run_check_raises_past_the_sieve_range_as_extend_does(seed, count):
+    # A true run that reaches past the int64 range of the sieve's marks.
+    run = naive_stanley(seed, count)
+    with pytest.raises(OverflowLimitError) as want:
+        core._extend(seed, count, None)
+    with pytest.raises(OverflowLimitError) as got:
+        core._greedy_run(seed, run)
+    assert str(got.value) == str(want.value)
+
+
+def test_greedy_run_check_memory_stays_near_one_window():
+    run = generate((0, 1, 13), count=2**14).terms
+    assert run[-1] > 2 * core._WINDOW  # so the check slides
+    core._greedy_run((0, 1, 13), run[:64])
+    tracemalloc.start()
+    try:
+        assert core._greedy_run((0, 1, 13), run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
 @pytest.mark.parametrize("window", [1, 16, 45])
 def test_window_slides_keep_marks(monkeypatch, window):
     # A tiny window slides many times.  Each slide clears it and marks every

@@ -85,6 +85,16 @@ def test_insufficient_terms_raises():
         analyze_independence(_terms([0], 50), max_depth=0)
 
 
+def test_huge_depths_name_the_term_count_by_its_size():
+    # 2**20000 has more digits than int-to-str conversion allows.
+    with pytest.raises(InsufficientTermsError,
+                       match="^depth 20000 needs at least a 20001-bit count of terms, got 3$"):
+        analyze_independence([0, 1, 3], max_depth=20000)
+    with pytest.raises(InsufficientTermsError) as exc:
+        character_at([0, 1, 3], 20000)
+    assert str(exc.value) == "need more than a 20001-bit count of terms to evaluate level 20000"
+
+
 def test_exact_term_requirement_accepted():
     need = 2**5 + 2**4
     cert = analyze_independence(_terms([0], need), max_depth=5)
