@@ -376,7 +376,7 @@ def explore_basic_characters(
             for first in range(1, max_entry - length + 2)]
     results: list[ExploredBasis] = []
     seen: set[tuple[int, ...]] = set()
-    branches = _branches(_explore_branch, jobs, workers)
+    branches = _branches(_explore_branch, jobs, len(jobs), workers)
     for head, tail_kind, expansion in chain.from_iterable(branches):
         if expansion in seen:
             continue

@@ -107,6 +107,8 @@ def _json_ready(value):
         return None if math.isnan(value) else value
     if isinstance(value, str):
         return value
+    if callable(value):  # a value computed only when it is printed
+        return _json_ready(value())
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if is_dataclass(value):
@@ -231,7 +233,8 @@ def _cmd_search(args: argparse.Namespace) -> Report:
     sets = [s.elements for s in results]
     record = {
         "ell": args.ell,
-        "modulus": 3 ** (args.ell + 1),
+        # Built only if the record is printed, so a huge ell answers at once.
+        "modulus": lambda: 3 ** (args.ell + 1),
         "max_element": args.max_element,
         "sets": sets,
     }

@@ -28,24 +28,26 @@ are reduced mod N into a bitmap of min(N, |A|(|A|+1)/2 + 1) entries.
 Peaks: about 12 MB for a 4096-element cover modulo 3**12, 102 MiB (two
 3N-byte maps) for a 32768-element one modulo 3**15.
 
-The search keeps, for the elements chosen so far, a byte bitmap of the
-residues still open.  Since N = 3**(ell+1) is odd, a candidate c would
-close a progression exactly when c mod N lies in {2a - b, (a + b)/2 : a, b
-chosen}, so a candidate is checked with one lookup, and admitting an
-element closes O(|chosen|) residues.  The tree is split once, at the first
-middle element v1: one branch (0, v1) per legal v1, run in order by
-_branches, the runner explore_basic_characters shares: in this process,
-or in a pool of no more processes than branches or usable CPUs.  Every
-branch reports its nodes to one counter and raises once the counter as
-last read plus its nodes not yet added pass the budget.  A first-only
-search runs in this process and stops at the first hit, counting nodes
-only up to it.
+The search keeps the residues still open for the elements chosen so
+far as the bits of an int.  Since N = 3**(ell+1) is odd, a candidate c
+would close a progression exactly when c mod N lies in {2a - b, (a + b)/2
+: a, b chosen}.  A new element y closes -A, 2A and A(N + 1)/2, for the
+chosen A, moved by 2y, -y and y(N + 1)/2: rotations of three more masks,
+stored doubled so that one shift rotates each.  So admitting y costs a
+few int operations, whatever |A|.  The tree is split once, at the first
+middle element v1: one branch (0, v1) per legal v1, made as it is handed
+out and run in order by _branches, the runner explore_basic_characters
+shares: in this process, or in a pool of no more processes than branches
+or usable CPUs.  Every branch reports its nodes to one counter and raises
+once the counter as last read plus its nodes not yet added pass the
+budget.  A first-only search runs in this process and stops at the first
+hit, counting nodes only up to it.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
-import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -254,26 +256,51 @@ def family_table() -> tuple[FamilyEntry, ...]:
 # Exhaustive search for near-modular sets.
 
 
-def _admit(open_: bytearray, chosen: Sequence[int], y: int, modulus: int) -> bytearray:
-    # The open-residue bitmap once a legal y joins chosen: y closes its own
-    # residue and, for each chosen z, 2y - z, 2z - y and (y + z)/2, where
-    # halving modulo the odd N is multiplying by (N + 1)/2.
-    out = bytearray(open_)
+@functools.lru_cache(maxsize=1)
+def _residue_steps(modulus: int, count: int) -> tuple:
+    # N, the doubled bit 1 | 1 << N, and per residue r < count: the right
+    # shifts that rotate the masks by 2r, -r and r(N + 1)/2, and the bits
+    # -r, 2r and r(N + 1)/2 that admitting r adds to them.
     half = (modulus + 1) // 2
-    out[y % modulus] = 0
-    for z in chosen:
-        out[(2 * y - z) % modulus] = 0
-        out[(2 * z - y) % modulus] = 0
-        out[(y + z) * half % modulus] = 0
-    return out
+    table = []
+    for r in range(count):
+        neg, two, mid = -r % modulus, 2 * r % modulus, r * half % modulus
+        table.append((modulus - two, modulus - neg, modulus - mid, neg, two, mid))
+    return modulus, 1 | 1 << modulus, tuple(table)
 
 
-def _open_residues(chosen: Sequence[int], modulus: int) -> bytearray:
-    # The bitmap of a progression-free chosen, admitted one at a time.
-    open_ = bytearray(b"\x01") * modulus
-    for i, y in enumerate(chosen):
-        open_ = _admit(open_, chosen[:i], y, modulus)
-    return open_
+def _admit(state: tuple[int, int, int, int], y: int, steps) -> tuple[int, int, int, int]:
+    # The state (open residues, reflections -z, doubles 2z, halves
+    # z(N + 1)/2 of the chosen z) once a legal y joins.  The last three
+    # hold each bit at r and r + N, so a right shift by N - k rotates by k.
+    # y closes 2y - z, 2z - y and (y + z)/2, and its own residue: -y is
+    # among the reflections it rotates by 2y.
+    open_, refl, dbl, half = state
+    modulus, unit, table = steps
+    rot_r, rot_d, rot_h, neg, two, mid = table[y % modulus]
+    refl |= unit << neg
+    closed = open_ & (refl >> rot_r | dbl >> rot_d | half >> rot_h)
+    return open_ ^ closed, refl, dbl | unit << two, half | unit << mid
+
+
+def _open_residues(chosen: Sequence[int], steps) -> tuple[int, int, int, int]:
+    # The state of a progression-free chosen, admitted one at a time.
+    state = ((1 << steps[0]) - 1, 0, 0, 0)
+    for y in chosen:
+        state = _admit(state, y, steps)
+    return state
+
+
+def _window(open_: int, start: int, stop: int, modulus: int):
+    # The values in [start, stop) with open residues, ascending: the
+    # residues rotated to start's, peeled one period of N at a time.
+    ring = (open_ | open_ << modulus) >> start % modulus & (1 << modulus) - 1
+    for base in range(start, stop, modulus):
+        bits = ring if stop - base >= modulus else ring & (1 << stop - base) - 1
+        while bits:
+            rest = bits & bits - 1
+            yield base + (bits ^ rest).bit_length() - 1
+            bits = rest
 
 
 def _covers(chosen: Sequence[int], modulus: int) -> bool:
@@ -300,19 +327,35 @@ def _pool_call(fn, job):
     return fn(job, _pool_nodes)
 
 
-def _branches(fn, jobs: list, workers: int, counter=None):
-    # fn(job, counter) for each job, in job order.  At most one worker per
-    # job and usable CPU is worth starting; with one, the jobs run lazily
-    # in this process, else in a pool.  A raise from a branch, or closing
-    # the generator, cancels every branch not yet handed out.
+_AHEAD = 64  # jobs per worker handed to a pool past the one read next
+
+
+def _branches(fn, jobs: Iterable, count: int, workers: int, counter=None):
+    # fn(job, counter) for each of the count jobs, in job order.  At most
+    # one worker per job and usable CPU is worth starting; with one, the
+    # jobs run in this process, else in a pool that holds at most _AHEAD
+    # per worker (Executor.map would submit them all at once).  A raise
+    # from a branch, or closing the generator, cancels every branch not
+    # yet handed out.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(jobs), cpus or 1)
+    workers = min(workers, count, cpus or 1)
     if workers <= 1:
         yield from (fn(job, counter) for job in jobs)
         return
+    call = functools.partial(_pool_call, fn)
+    pending: collections.deque = collections.deque()
     with ProcessPoolExecutor(workers, initializer=_install_counter,
                              initargs=(counter,)) as pool:
-        yield from pool.map(functools.partial(_pool_call, fn), jobs, chunksize=1)
+        try:
+            for job in jobs:
+                pending.append(pool.submit(call, job))
+                if len(pending) > _AHEAD * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _branch_search(job, counter) -> list[tuple[int, ...]]:
@@ -321,9 +364,10 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
     # as last read plus its nodes not yet added pass the budget.
     prefix, modulus, size, max_element, budget, first_only = job
     chosen = list(prefix)
-    # Bitmaps are tiled before the candidate scan so values index them.
-    reps = max_element // modulus + 1
-    last = max_element % modulus
+    steps = _residue_steps(modulus, min(modulus, max_element + 1))
+    last = 1 << max_element % modulus
+    # N-bit blocks over [0, max_element]: bit v of open * tile is v's residue.
+    tile = ((1 << (max_element // modulus + 1) * modulus) - 1) // ((1 << modulus) - 1)
     found: list[tuple[int, ...]] = []
     nodes = shared = 0  # the branch's nodes, and those added to the counter
     limit = -1  # share once nodes pass it, first at the first count
@@ -341,39 +385,44 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
             raise BudgetExceededError(f"node budget exceeded ({budget})")
         limit = nodes + min(_SHARE_NODES - 1, budget - total)
 
-    def rec(open_: bytearray, slots_left: int) -> None:
-        # slots_left >= 1 middle slots still to fill; every candidate
-        # leaves at least one value for each slot after it.
+    def rec(state: tuple[int, int, int, int], start: int, stop: int) -> None:
+        # The middle slot whose candidates lie in [start, stop); each
+        # leaves at least one value for every slot after it.
         nonlocal nodes
-        start = chosen[-1] + 1
-        stop = max_element - slots_left + 1
-        tiled = open_ * reps
-        if slots_left == 1:
+        open_ = state[0]
+        if stop == max_element:
             # Last middle slot: a legal candidate must also leave
-            # max_element legal, so it is read from the bitmap with
-            # max_element admitted.  The slot is counted once scanned.
-            if open_[last]:
-                with_max = _admit(open_, chosen, max_element, modulus) * reps
-                for cand in itertools.compress(range(start, stop), with_max[start:stop]):
+            # max_element legal, so it is read from the residues open
+            # with max_element admitted, a period at a time, since each
+            # costs only a coverage check.  The slot is counted once
+            # scanned.
+            if open_ & last:
+                with_max = _admit(state, max_element, steps)[0]
+                for cand in _window(with_max, start, stop, modulus):
                     full = chosen + [cand, max_element]
                     if _covers(full, modulus):
                         found.append(tuple(full))
                         if first_only:
                             stop = cand + 1
                             break
-            nodes += stop - start + tiled.count(1, start, stop)
+            nodes += stop - start + (open_ * tile >> start & (1 << stop - start) - 1).bit_count()
         else:
+            # Bit i of bits is start + i.  Peeling one costs O(stop -
+            # start) bits, no more than tiling the child row it opens.
             # Candidates are counted as they are reached, so a first_only
             # hit leaves the rest of each row uncounted.
             reached = start
-            for cand in itertools.compress(range(start, stop), tiled[start:stop]):
+            bits = open_ * tile >> start & (1 << stop - start) - 1
+            while bits:
+                rest = bits & bits - 1
+                cand = start + (bits ^ rest).bit_length() - 1
+                bits = rest
                 nodes += cand + 1 - reached
                 reached = cand + 1
                 if nodes > limit:
                     share()
-                child = _admit(open_, chosen, cand, modulus)
                 chosen.append(cand)
-                rec(child, slots_left - 1)
+                rec(_admit(state, cand, steps), reached, stop + 1)
                 chosen.pop()
                 if first_only and found:
                     return
@@ -381,7 +430,8 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
         if nodes > limit:
             share()
 
-    rec(_open_residues(chosen, modulus), size - 1 - len(chosen))
+    rec(_open_residues(chosen, steps), chosen[-1] + 1, max_element - size + len(chosen) + 2)
+    del rec  # it refers to itself: drop the cycle, so no collection is needed
     share()
     return found
 
@@ -399,9 +449,10 @@ def search_near_modular(
     Backtracking over ascending elements with 0 forced first and
     ``max_element`` forced last; partial progressions modulo N are pruned
     as they appear: a candidate is legal when its residue is outside
-    {2a - b, (a + b)/2 mod N : a, b chosen}, read from a bitmap of open
-    residues.  A candidate for the last middle slot must also leave
-    ``max_element`` legal; every full set is then checked for coverage.
+    {2a - b, (a + b)/2 mod N : a, b chosen}, read from an int whose bits
+    are the open residues.  A candidate for the last middle slot must also
+    leave ``max_element`` legal; every full set is then checked for
+    coverage.
     The tree splits once, at the first middle element v1: one branch per
     legal v1, each walked in ascending order, so results come back sorted,
     duplicate-free and identical for every worker count.  _branches runs
@@ -419,17 +470,21 @@ def search_near_modular(
     """
     ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element")
     budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)
+    # 2**(ell+1) elements need max_element >= 2**(ell+1) - 1, read from
+    # the bit length, so the sizes are built only once they fit.
+    if (max_element + 1).bit_length() <= ell + 1:
+        return []
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
-    if max_element < size - 1:
-        return []
 
     # Only a multiple of N repeats 0's residue, so every other v1 is legal.
+    # The jobs are made as the branches are handed out.
     stop = max_element - size + 3
     if stop - 1 > budget:
         raise BudgetExceededError(f"node budget exceeded ({budget})")
-    jobs = [((0, v1), modulus, size, max_element, budget, first_only)
-            for v1 in range(1, stop) if v1 % modulus]
+    jobs = (((0, v1), modulus, size, max_element, budget, first_only)
+            for v1 in range(1, stop) if v1 % modulus)
+    count = stop - 1 - (stop - 1) // modulus
     # In one process, the counter as last read plus a branch's nodes not
     # yet added is the exact total, so a serial search raises exactly at
     # the budget.  In a pool it is a lower bound, and the branch that adds
@@ -437,7 +492,7 @@ def search_near_modular(
     # search would.
     counter = multiprocessing.Value("q", stop - 1)
     results: list[tuple[int, ...]] = []
-    for found in _branches(_branch_search, jobs, 1 if first_only else workers, counter):
+    for found in _branches(_branch_search, jobs, count, 1 if first_only else workers, counter):
         results.extend(found)
         if first_only and results:
             break

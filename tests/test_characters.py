@@ -5,6 +5,7 @@ import os
 import random
 import time
 from collections import Counter
+from concurrent.futures import Future
 from itertools import combinations
 from math import comb
 
@@ -552,10 +553,11 @@ def test_explore_pool_maps_one_branch_per_length_and_first_entry(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            for job in jobs:
-                returned.append((job, fn(job)))
-                yield returned[-1][1]
+        def submit(self, fn, job):
+            returned.append((job, fn(job)))
+            future = Future()
+            future.set_result(returned[-1][1])
+            return future
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)

@@ -487,6 +487,15 @@ def test_search_empty_exits_one(capsys):
     assert payload["sets"] == []
 
 
+def test_search_with_a_huge_ell_exits_one_at_once(capsys):
+    # No set of 2**(ell+1) elements fits below 5, and the modulus
+    # 3**(ell+1), over a minute's work at this ell, is built only for JSON.
+    start = time.perf_counter()
+    assert run_cli(capsys, "search", "--ell", "100000000", "--max-element", "5") == (
+        EXIT_FINDING, "", "")
+    assert time.perf_counter() - start < 5
+
+
 def test_search_budget_exit(capsys):
     code, _, err = run_cli(
         capsys, "search", "--ell", "2", "--max-element", "18", "--budget", "5"

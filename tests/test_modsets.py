@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from concurrent.futures import Future
 from contextlib import contextmanager
 from unittest import mock
 
@@ -34,6 +35,7 @@ from stanley import characters, core, modsets
 
 from .naive import (
     naive_branch_search,
+    naive_extension_ok,
     naive_first_violation,
     naive_is_modular,
     naive_is_near_modular,
@@ -225,8 +227,10 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
         def shutdown(self):
             pass
@@ -247,6 +251,39 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
         run()
         want = jobs[name] if expected == "jobs" else expected
         assert sizes == ([] if want is None else [want])
+
+
+def test_pool_is_handed_a_bounded_number_of_jobs(monkeypatch):
+    # No process starts.  The runner submits a lazy million jobs to the
+    # pool no faster than it reads the results back, and each comes back
+    # in job order.
+    submitted = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            submitted.append(job)
+            future = Future()
+            future.set_result(fn(job))
+            return future
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(modsets, "_pool_nodes", None)
+    runner = modsets._branches(lambda job, counter: job, iter(range(10**6)), 10**6, 2)
+    for want in range(300):
+        assert next(runner) == want
+        assert len(submitted) == want + 1 + 2 * modsets._AHEAD
+    runner.close()
+    assert len(submitted) == 300 + 2 * modsets._AHEAD
 
 
 def test_search_first_only():
@@ -271,14 +308,17 @@ def test_prefix_split_stops_at_the_budget(monkeypatch):
     admitted = []
     admit = modsets._admit
 
-    def spy(open_, chosen, y, modulus):
+    def spy(state, y, steps):
         admitted.append(y)
-        return admit(open_, chosen, y, modulus)
+        return admit(state, y, steps)
 
     monkeypatch.setattr(modsets, "_admit", spy)
     with pytest.raises(BudgetExceededError, match=r"\(5\)"):
         search_near_modular(1, 3000, budget=5)
     assert admitted == []
+    # The spy sits on the step every admission takes.
+    search_near_modular(1, 12)
+    assert admitted
 
 
 @given(data=st.data())
@@ -286,9 +326,10 @@ def test_prefix_split_stops_at_the_budget(monkeypatch):
 def test_branch_search_matches_oracle(data):
     # Same sets and the same node count, branch by branch, as re-checking
     # every pair for every candidate, for every sharing interval.
-    ell = data.draw(st.sampled_from([1, 2]), label="ell")
+    # At ell = 3 the masks span 2 * 81 bits, wider than a machine word.
+    ell = data.draw(st.sampled_from([1, 2, 3]), label="ell")
     modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
-    max_element = data.draw(st.integers(size - 1, 36), label="max_element")
+    max_element = data.draw(st.integers(size - 1, 30 if ell == 3 else 36), label="max_element")
     prefixes, _ = naive_search_prefixes(ell, max_element)
     prefix = data.draw(st.sampled_from(prefixes), label="prefix")
     first_only = data.draw(st.booleans(), label="first_only")
@@ -305,6 +346,24 @@ def test_branch_search_matches_oracle(data):
         counter.value = spent
         with pytest.raises(BudgetExceededError):
             modsets._branch_search(job[:4] + (spent + nodes - 1, first_only), counter)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_open_residues_match_the_pairwise_check(data):
+    # N = 9 ... 729: the integer masks of a progression-free prefix leave
+    # residue r open exactly when adding r keeps it progression-free.
+    ell = data.draw(st.integers(1, 5), label="ell")
+    modulus = 3 ** (ell + 1)
+    prefix = []
+    for value in data.draw(st.lists(st.integers(0, 3 * modulus), max_size=40), label="values"):
+        if len(prefix) < 12 and naive_extension_ok(prefix, value, modulus):
+            prefix.append(value)
+    steps = modsets._residue_steps(modulus, modulus)
+    open_ = modsets._open_residues(prefix, steps)[0]
+    assert open_ >> modulus == 0
+    assert [open_ >> r & 1 for r in range(modulus)] == [
+        naive_extension_ok(prefix, r, modulus) for r in range(modulus)]
 
 
 @pytest.mark.parametrize("ell, max_element", [(1, 7), (1, 35), (2, 18), (2, 36)])
@@ -426,10 +485,10 @@ def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
     counter.value = spent
     admit = modsets._admit
 
-    def busy_admit(open_, chosen, y, modulus):
+    def busy_admit(state, y, steps):
         if spent < counter.value < spent + nodes:
             counter.value += nodes
-        return admit(open_, chosen, y, modulus)
+        return admit(state, y, steps)
 
     monkeypatch.setattr(modsets, "_admit", busy_admit)
     monkeypatch.setattr(modsets, "_SHARE_NODES", 64)
@@ -442,6 +501,41 @@ def test_search_degenerate_bounds():
     assert search_near_modular(1, 2) == []
     with pytest.raises(ValueError):
         search_near_modular(0, 6)
+
+
+def test_search_with_a_huge_ell_is_empty_at_once():
+    # No 2**(ell+1) elements fit up to max_element, which is read from its
+    # bit length: 3**(ell+1) alone would take over a minute at ell = 10**8.
+    start = time.perf_counter()
+    assert search_near_modular(10**8, 5) == []
+    assert search_near_modular(10**8, 2**40) == []
+    assert search_near_modular(5, 2**6 - 2) == []
+    assert time.perf_counter() - start < 5
+
+
+def test_split_hands_out_its_jobs_lazily(monkeypatch):
+    # With the budget at the split's own count, the first branch raises at
+    # its first share.  The split's 10**6 jobs, about 176 B each, are made
+    # as they are handed out, not listed first.
+    branch = modsets._branch_search
+    started = []
+
+    def spy(job, counter):
+        started.append(job[0])
+        return branch(job, counter)
+
+    monkeypatch.setattr(modsets, "_branch_search", spy)
+    max_element = 10**6
+    split = max_element - 8 + 2  # v1 in [1, max_element - 5], size 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=rf"\({split}\)"):
+            search_near_modular(2, max_element, budget=split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert started == [(0, 1)]
+    assert peak < 8 << 20
 
 
 def test_search_results_are_verified_sets():
