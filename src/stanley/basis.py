@@ -36,10 +36,12 @@ from .errors import (
     NotModularError,
     NotRepresentableError,
 )
-from .modsets import NearModularSet, verify_modular, verify_near_modular
+from .modsets import NearModularSet, _cover_certificate, verify_modular, verify_near_modular
 
-# Largest cover modularize builds: one of 2**15 elements takes about 4.5 s
-# on a 2-core x86 host, and each doubling quadruples the modular check.
+# Largest cover modularize builds.  Its certificate is linear in the
+# modulus, 0.2 s for 2**15 elements on a 2-core x86 host, but
+# verify_plan's greedy sieve check of that cover takes about 2 s, and
+# the sieve's pair marks grow fourfold per doubling.
 COVER_CAP = 2**15
 
 
@@ -257,10 +259,11 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
 
     L = { a + sum(delta_k * b_k, k < n0) } taken modulo 3**(n0 + ell)
     tiles the full composition: compose(sys) = L + modulus * S({0}).
-    A repeated value and the modularity of L are checked exhaustively
-    here, and a failure is an invariant violation, reported loudly.  A
-    cover of more than COVER_CAP elements raises BudgetExceededError
-    before any sum is built.
+    A repeated value raises DuplicateSumError.  The modularity of L is
+    proved by the level certificate of modsets, linear in the modulus; if
+    it refuses, verify_modular checks every pair, and a failure there is
+    an invariant violation, reported loudly.  A cover of more than
+    COVER_CAP elements raises BudgetExceededError before any sum is built.
     """
     size = len(sys.a_set) << sys.n0
     if size > COVER_CAP:
@@ -270,13 +273,14 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
     prefix = [sys.basis.element(k) for k in range(sys.n0)]
     values = _expand(sys.a_set, prefix, (), None, None)
     modulus = sys.modulus
-    report = verify_modular(values, modulus)
-    if report.verdict != "modular":
-        raise NotModularError(
-            f"composition invariant broken: cover fails modularity at "
-            f"{modulus}: {report.violation}",
-            report=report,
-        )
+    if not _cover_certificate(sys.a_set, prefix, values, modulus):
+        report = verify_modular(values, modulus)
+        if report.verdict != "modular":
+            raise NotModularError(
+                f"composition invariant broken: cover fails modularity at "
+                f"{modulus}: {report.violation}",
+                report=report,
+            )
     return NearModularSet(tuple(values), modulus, "modular")
 
 

@@ -201,7 +201,7 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     run = core._term_array(n_terms)
     realization = realize_plan(plan, count=n_terms)
     run[:] = realization
-    # The cover passed verify_modular, so it is increasing, starts at 0 and
+    # modularize proved the cover modular, so it is increasing, starts at 0 and
     # is 3-AP-free: a valid seed without generate's re-validation.
     if not core._greedy_run(cover.elements, run):
         # Only a failed check regenerates the run, to name the divergence.

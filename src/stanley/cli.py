@@ -101,7 +101,13 @@ def _json_ready(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > _JSON_SAFE_BOUND else value
+        if abs(value) <= _JSON_SAFE_BOUND:
+            return value
+        # Decimal prints every digit where str() refuses ints past 4,300
+        # digits; imported here, it costs no other process its 0.4 MB.
+        import decimal
+
+        return str(decimal.Decimal(value))
     if isinstance(value, float):
         # NaN is not JSON; undefined ratios become null.
         return None if math.isnan(value) else value

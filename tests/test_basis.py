@@ -286,8 +286,10 @@ def test_modularize_refuses_covers_past_the_cap(monkeypatch):
 
 def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
     # The composition invariant makes every cover modular, so the failure
-    # is forced: the check is replaced by one that reports a violation.
+    # is forced: the certificate refuses, and the exact check it falls back
+    # to is replaced by one that reports a violation.
     report = ModSetReport("invalid", ModSetViolation("missing-zero"))
+    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, values, modulus: False)
     monkeypatch.setattr(basis, "verify_modular", lambda values, modulus: report)
     with pytest.raises(NotModularError) as err:
         modularize(compose_system((0,), ell=0, head=(2, 6)))
@@ -299,6 +301,46 @@ def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
     # The CLI reports it as a negative finding.
     assert main(["character", "--lambda", "8"]) == 1
     assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
+BROKEN_COVERS = [
+    ((0, 10), 1, (), 1, "9: ModSetViolation(kind='out-of-range', details=(10, 13))"),
+    ((1, 2), 1, (), 1, "9: ModSetViolation(kind='missing-zero', details=())"),
+    ((0, 1), 1, (4,), 1, "9: ModSetViolation(kind='mod-ap', details=(5, 0, 4))"),
+    ((0,), 0, (1, 2), 2, "9: ModSetViolation(kind='mod-ap', details=(2, 1, 0))"),
+    # Four elements cannot cover 3**41 residues: refused before any
+    # 3**41-byte map is allocated.
+    ((0, 1), 40, (), 1,
+     f"{3**41}: ModSetViolation(kind='uncovered-residue', details=(3,))"),
+]
+
+
+@pytest.mark.parametrize("a_set,ell,head,n0,violation", BROKEN_COVERS)
+def test_hand_built_systems_that_are_not_modular_name_their_violation(a_set, ell, head, n0, violation):
+    # Built directly, past compose_system's checks: the certificate refuses
+    # and the exact check names the violation, as it did before the
+    # certificate existed.
+    broken = ComposedSystem(a_set=a_set, ell=ell, basis=Basis(head, shift=ell), n0=n0)
+    with pytest.raises(NotModularError) as err:
+        modularize(broken)
+    assert str(err.value) == f"composition invariant broken: cover fails modularity at {violation}"
+    assert err.value.report.verdict == "invalid"
+
+
+def test_modularize_checks_every_pair_only_when_the_certificate_refuses(monkeypatch):
+    calls = []
+
+    def spy(values, modulus):
+        calls.append(len(values))
+        return verify_modular(values, modulus)
+
+    monkeypatch.setattr(basis, "verify_modular", spy)
+    sys1 = compose_system(family_set(2, "A", 3), ell=3)
+    cover = modularize(sys1)
+    assert calls == []
+    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, values, modulus: False)
+    assert modularize(sys1) == cover
+    assert calls == [len(cover.elements)]
 
 
 def test_hand_built_systems_with_a_collision_raise():

@@ -496,6 +496,23 @@ def test_search_with_a_huge_ell_exits_one_at_once(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_search_json_prints_a_modulus_past_the_int_string_limit(capsys):
+    # 3**10001 has 4,772 digits, past the 4,300 that int-to-str allows.
+    code, out, err = run_cli(
+        capsys, "search", "--ell", "10000", "--max-element", "5", "--format", "json"
+    )
+    assert (code, err) == (EXIT_FINDING, "")
+    payload = json.loads(out)
+    assert payload["sets"] == [] and payload["ell"] == 10000
+    digits = payload["modulus"]
+    assert len(digits) == 4772 and digits.isdigit()
+    value = 0
+    for i in range(0, len(digits), 1000):  # chunks int() converts
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 3**10001
+
+
 def test_search_budget_exit(capsys):
     code, _, err = run_cli(
         capsys, "search", "--ell", "2", "--max-element", "18", "--budget", "5"

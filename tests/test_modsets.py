@@ -1,5 +1,6 @@
 """Modular set verification, the family table, block expansion, search."""
 
+import functools
 import multiprocessing
 import os
 import time
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from stanley import (
     BudgetExceededError,
+    DuplicateSumError,
     NotModularError,
+    NotRealizableError,
     compose_system,
     expand_modular,
     explore_basic_characters,
@@ -31,7 +34,7 @@ from stanley import (
     zero_sequence_value,
 )
 
-from stanley import characters, core, modsets
+from stanley import basis, characters, core, modsets
 
 from .naive import (
     naive_branch_search,
@@ -706,3 +709,139 @@ def test_large_cover_verification_memory():
         tracemalloc.stop()
     assert report.verdict == "modular"
     assert peak < 64 * 2**20
+
+
+def cover_structure(sys_):
+    # A composed system's cover as the certificate reads it: A, the level
+    # steps b_0, ..., b_{n0-1}, and their sorted sums.
+    steps = [sys_.basis.element(k) for k in range(sys_.n0)]
+    return list(sys_.a_set), steps, basis._expand(sys_.a_set, steps, (), None, None)
+
+
+@functools.lru_cache(maxsize=1)
+def planner_systems():
+    systems = []
+    for lam in range(0, 4001, 2):
+        try:
+            systems.append(plan_character(lam).system)
+        except NotRealizableError as exc:
+            assert exc.reason == "residue-244"
+    return systems
+
+
+def test_certificate_accepts_every_planner_cover():
+    # Every even target to 4000 outside the class 244 mod 486; the pair
+    # oracle runs on every cover of at most 64 elements and on a stride of
+    # the larger ones (up to 256), the exact table check on all.
+    systems = planner_systems()
+    assert len(systems) == 1993
+    for i, sys_ in enumerate(systems):
+        a_set, steps, values = cover_structure(sys_)
+        assert modsets._cover_certificate(a_set, steps, values, sys_.modulus), sys_
+        assert modsets._first_violation(values, sys_.modulus) is None
+        if len(values) <= 64 or i % 64 == 0:
+            assert naive_first_violation(values, sys_.modulus) is None
+
+
+def test_certificate_accepts_every_family_recipe_to_shift_20():
+    sizes = set()
+    for index in modsets.FAMILY_INDICES:
+        for side in ("A", "B"):
+            for shift in range(21):
+                sys_ = compose_system(family_set(index, side, shift), ell=index + 1)
+                a_set, steps, values = cover_structure(sys_)
+                assert modsets._cover_certificate(a_set, steps, values, sys_.modulus)
+                assert modsets._first_violation(values, sys_.modulus) is None
+                if len(values) <= 128:
+                    assert naive_first_violation(values, sys_.modulus) is None
+                sizes.add(len(values))
+    assert max(sizes) == 512
+
+
+def mutations(a_set, steps, powers):
+    # Structures one edit away: a step moved by +-1 or +-3**j for j up to
+    # powers, or doubled; or an element of A moved by the same amounts.
+    moves = [1, -1] + [s * 3**j for j in range(1, powers + 1) for s in (1, -1)]
+    for k, b in enumerate(steps):
+        for new in [b + m for m in moves] + [2 * b]:
+            yield a_set, steps[:k] + [new] + steps[k + 1 :]
+    for i, a in enumerate(a_set):
+        for m in moves:
+            yield a_set[:i] + [a + m] + a_set[i + 1 :], steps
+
+
+def certificate_is_sound(a_set, steps, modulus):
+    # Whether the certificate accepted the structure's sums; an acceptance
+    # must be a modular set.  A structure whose sums collide gives None.
+    try:
+        values = basis._expand(a_set, steps, (), None, None)
+    except DuplicateSumError:
+        return None
+    accepted = modsets._cover_certificate(a_set, steps, values, modulus)
+    if accepted:
+        assert modsets._first_violation(values, modulus) is None, (a_set, steps)
+        assert verify_modular(values, modulus).verdict == "modular", (a_set, steps)
+    return accepted
+
+
+MUTATION_BASES = {
+    "A1": lambda: compose_system(family_set(1, "A"), ell=2),
+    "B2": lambda: compose_system(family_set(2, "B", 3), ell=3),
+    "A3": lambda: compose_system(family_set(3, "A", 1), ell=4),
+    "lambda-40": lambda: plan_character(40).system,
+    "lambda-1540": lambda: plan_character(1540).system,
+    "lambda-3000": lambda: plan_character(3000).system,
+}
+on_each_base = pytest.mark.parametrize("build", list(MUTATION_BASES.values()), ids=list(MUTATION_BASES))
+
+
+@on_each_base
+def test_certificate_is_never_wrong_on_any_single_edit(build):
+    sys_ = build()
+    a_set, steps, _ = cover_structure(sys_)
+    edits = mutations(a_set, steps, sys_.n0 + sys_.ell)
+    verdicts = [certificate_is_sound(a, s, sys_.modulus) for a, s in edits]
+    # Both answers occur, so the soundness checks above are not vacuous.
+    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
+
+@given(st.sampled_from(list(MUTATION_BASES.values())), st.data())
+@settings(max_examples=100, deadline=None)
+def test_certificate_is_never_wrong_on_repeated_edits(build, data):
+    sys_ = build()
+    a_set, steps, _ = cover_structure(sys_)
+    for _ in range(data.draw(st.integers(2, 4))):
+        edits = list(mutations(a_set, steps, sys_.n0 + sys_.ell))
+        a_set, steps = edits[data.draw(st.integers(0, len(edits) - 1))]
+    certificate_is_sound(a_set, steps, sys_.modulus)
+
+
+@on_each_base
+def test_certificate_refuses_values_that_are_not_its_sums(build):
+    sys_ = build()
+    a_set, steps, values = cover_structure(sys_)
+    modulus = sys_.modulus
+    assert modsets._cover_certificate(a_set, steps, values, modulus)
+    for pos in sorted({0, 1, len(values) // 2, len(values) - 1}):
+        rest = values[:pos] + values[pos + 1 :]
+        assert not modsets._cover_certificate(a_set, steps, rest, modulus)
+        for move in (1, -1, modulus):
+            moved = sorted(rest + [values[pos] + move])
+            assert not modsets._cover_certificate(a_set, steps, moved, modulus)
+    assert not modsets._cover_certificate(a_set, steps, values[::-1], modulus)
+
+
+def test_certificate_memory_is_a_few_bytes_per_residue():
+    # 4096 elements modulo 3**12: five N-byte maps, where the table check
+    # peaks near 12 MB.
+    a_set, steps, values = cover_structure(plan_character(300002).system)
+    modulus = 3**12
+    assert len(values) == 4096
+    tracemalloc.start()
+    try:
+        accepted = modsets._cover_certificate(a_set, steps, values, modulus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert accepted
+    assert peak < 6 * modulus
