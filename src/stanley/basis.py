@@ -40,7 +40,7 @@ from .modsets import NearModularSet, _cover_certificate, verify_modular, verify_
 
 # Largest cover modularize builds.  Its certificate is linear in the
 # modulus, 0.2 s for 2**15 elements on a 2-core x86 host, but
-# verify_plan's greedy sieve check of that cover takes about 2 s, and
+# verify_plan's greedy sieve check of that cover takes about 2.2 s, and
 # the sieve's pair marks grow fourfold per doubling.
 COVER_CAP = 2**15
 

@@ -48,6 +48,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from . import characters, core, modsets, structure
@@ -68,6 +69,9 @@ EXIT_RESOURCE = 3
 _JSON_SAFE_BOUND = 2**53
 
 FORMATS = ("plain", "csv", "json")
+
+# Table rows per write.
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -131,13 +135,13 @@ def _join(values) -> str:
 _TEXT = {type(None): lambda v: "", float: lambda v: f"{v:.6f}", tuple: _join, list: _join}
 
 
-def _cell(value) -> str:
-    return _TEXT.get(type(value), str)(value)
+def _cells(row: Iterable) -> list[str]:
+    return [_TEXT.get(type(value), str)(value) for value in row]
 
 
 def _render(fmt: str, report: Report) -> None:
-    # Rows are written one line at a time, so a generator of rows is
-    # never held whole.
+    # Rows are written in blocks of _BLOCK_ROWS lines, so a generator of
+    # rows is never held whole and a row costs no write call of its own.
     if fmt == "json":
         print(json.dumps(_json_ready(report.record), indent=2))
         return
@@ -146,14 +150,17 @@ def _render(fmt: str, report: Report) -> None:
     if line is None:
         if report.header:
             print(sep.join(report.header))
-        for row in report.rows:
-            print(sep.join(map(_cell, row)))
+        text = sep.join
     else:
-        for row in report.rows:
-            print(line(*map(_cell, row)))
+        def text(cells):
+            return line(*cells)
+    rows = iter(report.rows)
+    while block := [text(_cells(row)) for row in islice(rows, _BLOCK_ROWS)]:
+        block.append("")
+        sys.stdout.write("\n".join(block))
     if fmt == "plain":
         for name, value in report.notes:
-            print(f"{name}: {_cell(value)}")
+            print(f"{name}: {_cells([value])[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +297,18 @@ def _cmd_coverage(args: argparse.Namespace) -> Report:
 
 def _cmd_growth(args: argparse.Namespace) -> Report:
     seq = core.generate(args.seed, count=args.count, limit=args.limit)
-    report = structure.growth_stats(seq, sample_spacing=args.spacing)
-    # Samples and rows stay generators: only the chosen format builds one.
+    # growth_stats' columns, without its per-sample records.
+    ns, values, ratios, lo, hi, alpha = structure._growth_columns(seq.terms, args.spacing)
     record = {
         "seed": seq.seed,
-        "spacing": report.spacing,
-        "samples": ({"n": s.n, "term": s.term, "ratio": s.ratio} for s in report.samples),
-        "ratio_min": report.ratio_min,
-        "ratio_max": report.ratio_max,
-        "alpha_estimate": report.alpha_estimate,
+        "spacing": args.spacing,
+        "samples": ({"n": n, "term": t, "ratio": r} for n, t, r in zip(ns, values, ratios)),
+        "ratio_min": lo,
+        "ratio_max": hi,
+        "alpha_estimate": alpha,
     }
     notes = [(name, record[name]) for name in ("ratio_min", "ratio_max", "alpha_estimate")]
-    return Report(record, ((s.n, s.term, s.ratio) for s in report.samples),
-                  ("n", "term", "ratio"), notes=notes)
+    return Report(record, zip(ns, values, ratios), ("n", "term", "ratio"), notes=notes)
 
 
 def _cmd_explore(args: argparse.Namespace) -> Report:

@@ -8,22 +8,40 @@ always larger than everything chosen so far, a candidate only ever needs
 to be tested as the *largest* element of a progression.
 
 The generator keeps a byte-per-value sieve of blocked values over a
-window [base, base + size) that slides upward: whenever a term t is
-appended, every value 2*t - x for earlier terms x becomes forever
-inadmissible, and the marks that land inside the window are written.
-Because terms increase, the earlier terms whose marks land inside the
-window form one slice, so appending is one vectorized scatter per term,
-and the next candidate is one byte search (bytearray.find) over the
-window: generating n terms costs O(n^2) sieve writes with small
-constants.  The marks of a new term c that would land at or past the
-window's top come from the earlier terms at or below 2c - top, a prefix
-that is cut off; the cut only rises with c, so it advances through a
-Python list of the terms by bisection from where it stood.  When the
-window holds no free value, it moves on past its top, is cleared, and
-takes the marks of every pair x < y that lands in it: slices of many x
-get one scatter each, and the short ones are gathered into a few batched
-scatters.  No mark is written past the window, so marks above the final
-term stop at the last window's top, and no mark is written twice.
+window [base, top) that slides upward: whenever a term t is appended,
+every value 2*t - x for earlier terms x becomes forever inadmissible, and
+the marks that land inside the window are written.  Because terms
+increase, the earlier terms whose marks land inside the window form one
+slice, so appending is one vectorized scatter per term, and the next
+candidate is one byte search (bytearray.rfind) over the window:
+generating n terms costs O(n^2) sieve writes with small constants.  The
+marks of a new term c that would land at or past the window's top come
+from the earlier terms at or below 2c - top, a prefix that is cut off;
+the cut only rises with c, so it advances through a Python list of the
+terms by bisection from where it stood.  When the window holds no free
+value, it moves on past its top, is cleared, and takes the marks of every
+pair x < y that lands in it: slices of many x get one scatter each, and
+the short ones are gathered into a few batched scatters.  No mark is
+written past the window, so marks above the final term stop at the last
+window's top, and no mark is written twice.
+
+The window lies backwards above a pad: its buffer holds P bytes and then
+the window, value v at byte P + top - 1 - v, so the next candidate is the
+last zero byte below the current term's.  The mark 2y - x then sits at
+byte (P + top - 1 - 2y) + x, the x itself read through a view that starts
+at the row's offset, and a scatter needs no arithmetic per mark once the
+terms are stored shifted.  Rows y are taken in groups: the group that
+row y1 starts shifts its x once by x0 = max(0, 2*y1 - top + 1), and takes
+the rows y1 <= y <= y1 + P/2.  Row y of a group scatters rel = x - x0
+through the view that starts at P + top - 1 - 2y + x0, and that start is
+never negative: it is P - 2(y - y1) >= 0 when x0 > 0, and that plus
+top - 1 - 2*y1 >= 0 otherwise.  A row's x are nonnegative and exceed
+2y - top >= 2*y1 - top, so rel >= 0 and every byte written is at least
+P; the view ends at the window's end, so numpy's bounds check turns any
+slip past the window into an IndexError.  In a fill the rows of a group share one shifted slice of
+the terms.  While the window is scanned, a new term past the group's
+last row starts a new group, and otherwise adds its own shifted value to
+the group's slice.
 
 Only the last window's top decides how many marks are wasted, so windows
 follow the run.  Under a term count, each window spans 5/4 of the span of
@@ -32,7 +50,8 @@ one, whichever is fewer: the next r terms are taken to span about as much
 as the last r did, so a run tends to end a little below its last
 window's top.  Under a value limit a window ends at the limit.  Memory is
 O(window + n) whatever the values: a window holds at least _MIN_WINDOW
-values under a term count and never more than _WINDOW bytes.
+values under a term count and never more than _WINDOW, and the buffer
+holds as many pad bytes again, P being the largest window so far.
 
 A run already in hand, such as a composed realization, is checked
 against the greedy run of its seed by _greedy_run with the same window
@@ -72,13 +91,15 @@ from .errors import InvalidSeedError, OverflowLimitError
 # Sieve arithmetic runs in int64; values past this cap would risk wrap-around.
 VALUE_CAP = 2**62
 
-# The largest sieve window in values, one byte each, which bounds the
-# sieve's memory.  With windows sized from the run, caps from 2**20 to
-# 2**23 take 0.38-0.49 s for 2**14 terms of S(0,1,13), fastest at 2**21,
-# and 0.58-0.90 s for 2**15 terms of S(0,3,4), fastest at 2**20 (best of
-# four runs, 2-vCPU Xeon): a small cap slides more often, each slide a
-# fill over all terms, and a large one scatters past the L2 cache.
-_WINDOW = 1 << 22
+# The largest sieve window in values, one byte each; its buffer holds as
+# many pad bytes again, so the sieve takes at most 2 * _WINDOW bytes.
+# With windows sized from the run, caps from 2**19 to 2**23 take
+# 0.29-0.38 s for 2**14 terms of S(0,1,13) and 1.02-1.38 s for 2**15,
+# fastest at 2**20-2**21, and 0.34-0.56 s for 2**15 terms of S(0,3,4),
+# fastest at 2**20 and 0.42 s at 2**21 (best of five interleaved runs,
+# 2-vCPU Xeon): a small cap slides more often, each slide a fill over all
+# terms, and a large one scatters past the L2 cache.
+_WINDOW = 1 << 21
 
 # Windows of a term-count run hold at least this many values.
 _MIN_WINDOW = 1 << 16
@@ -271,28 +292,52 @@ def validate_seed(seed: Iterable[int]) -> tuple[int, ...]:
     return ordered
 
 
-def _mark(blocked: np.ndarray, twice: int, xs: np.ndarray, buf: np.ndarray) -> None:
-    # Block index twice - x for every x in xs; every mark must lie in the
-    # window.  ``buf`` is int64 scratch at least as long as xs.
-    marks = buf[: len(xs)]
-    np.subtract(twice, xs, out=marks)
-    blocked[marks] = True
+def _group(y: int, top: int, pad: int) -> tuple[int, int]:
+    # The group of rows that row y starts in a window below ``top`` with
+    # ``pad`` bytes under it: the shift x0 of its rows' x, and the largest
+    # row it takes.  The module docstring shows that its views start at
+    # byte 0 or above.
+    return max(0, 2 * y - top + 1), y + pad // 2
 
 
-def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, base: int, buf: np.ndarray) -> None:
+def _mark_row(sieve: np.ndarray, pad: int, top: int, y: int, x0: int, rel: np.ndarray) -> None:
+    # Block 2y - x for each x = x0 + rel, in a group that x0 shifts: the
+    # view that starts at byte pad + top - 1 - 2y + x0 holds 2y - x at
+    # byte rel.  It ends at the window's end, so a slip past the window
+    # raises IndexError.
+    sieve[pad + top - 1 - 2 * y + x0 :][rel] = True
+
+
+def _mark_pairs(sieve: np.ndarray, terms: np.ndarray, top: int, pad: int) -> None:
     # Block 2y - x for the pairs x < y of the increasing ``terms`` whose
-    # mark lies in the window [base, base + len(blocked)).  For each y these
-    # x form one slice: marks past the window come from its low end, marks
-    # below it from its high end.  A slice of _SHORT_SLICE or more x gets a
-    # scatter of its own.  Shorter ones, where numpy's per-call cost
-    # outweighs the marks, are gathered into one scatter per _FILL_CHUNK
-    # marks; gathering takes more passes per mark, so long slices skip it.
+    # mark lies in the window [top - size, top), laid out as in _extend:
+    # ``sieve`` holds ``pad`` bytes and then the window's size bytes, value
+    # v at byte pad + top - 1 - v.  For each y these x form one slice:
+    # marks past the window come from its low end, marks below it from its
+    # high end.  A slice of _SHORT_SLICE or more x is scattered on its own
+    # by _mark_row; the rows of a group share one shifted copy of their x.
+    # Shorter ones, where numpy's per-call cost outweighs the marks, are
+    # gathered into one scatter per _FILL_CHUNK marks; gathering takes
+    # more passes per mark, so long slices skip it.
+    size = len(sieve) - pad
     twice = 2 * terms
-    lo = np.searchsorted(terms, twice - (base + len(blocked)), "right")
-    hi = np.minimum(np.searchsorted(terms, twice - base, "right"), np.arange(len(terms)))
+    lo = np.searchsorted(terms, twice - top, "right")
+    hi = np.minimum(np.searchsorted(terms, twice - (top - size), "right"),
+                    np.arange(len(terms)))
     sizes = hi - lo
-    for j in np.flatnonzero(sizes >= max(_SHORT_SLICE, 1)):
-        _mark(blocked, twice[j] - base, terms[lo[j] : hi[j]], buf)
+    rows = np.flatnonzero(sizes >= max(_SHORT_SLICE, 1))
+    ys = terms[rows]
+    i = 0
+    while i < len(rows):
+        x0, last = _group(int(ys[i]), top, pad)
+        g = int(np.searchsorted(ys, last, "right"))
+        # lo and hi rise with the row, so one slice holds the group's x.
+        a = lo[rows[i]]
+        rel = terms[a : hi[rows[g - 1]]] - x0
+        for y, l, h in zip(ys[i:g].tolist(), (lo[rows[i:g]] - a).tolist(),
+                           (hi[rows[i:g]] - a).tolist()):
+            _mark_row(sieve, pad, top, y, x0, rel[l:h])
+        i = g
     short = np.flatnonzero((sizes > 0) & (sizes < _SHORT_SLICE))
     # starts[i]: marks of the short slices before the i-th one.
     starts = np.concatenate(([0], np.cumsum(sizes[short])))
@@ -304,9 +349,9 @@ def _mark_pairs(blocked: np.ndarray, terms: np.ndarray, base: int, buf: np.ndarr
         # The x of slice y sit at lo[y], lo[y] + 1, ... in terms.
         pos = np.repeat(lo[ys] - (starts[i:k] - starts[i]), n)
         pos += np.arange(len(pos))
-        marks = np.repeat(twice[ys] - base, n)
-        marks -= terms[pos]
-        blocked[marks] = True
+        marks = np.repeat(pad + top - 1 - twice[ys], n)
+        marks += terms[pos]
+        sieve[marks] = True
         i = k
 
 
@@ -339,14 +384,15 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
     # Callers that hold a verified cover skip generate's re-validation.
     terms_buf = _term_array(max(count or 0, len(seed_t), 1024))
     terms_buf[: len(seed_t)] = seed_t
-    buf = np.empty_like(terms_buf)
+    rel = np.empty_like(terms_buf)  # rel[lo:k]: terms_buf[lo:k] - x0
     terms = list(seed_t)
     k = len(seed_t)
 
-    # The window covers the values [base, base + size).  Marks at or below
-    # the last term are never read, so it starts just above the seed.
+    # The window covers the values [base, top).  Marks at or below the
+    # last term are never read, so it starts just above the seed.
     base = seed_t[-1] + 1
     sieve = bytearray()
+    pad = 0
     while count is None or k < count:
         if limit is not None:
             size = min(_WINDOW, limit + 1 - base)
@@ -357,35 +403,41 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
             size = min(_WINDOW, max(_MIN_WINDOW, (terms[-1] - terms[-1 - r]) * 5 // 4))
         if base + size >= VALUE_CAP:
             raise OverflowLimitError("sieve window left the 64-bit range")
-        if size > len(sieve):
+        if size > pad:
             sieve = blocked = None  # never hold two windows
-            sieve = bytearray(size)
-        blocked = np.frombuffer(sieve, dtype=bool, count=size)
-        blocked.fill(False)
+            sieve, pad = bytearray(2 * size), size
+        top = base + size
+        end = pad + size
+        blocked = np.frombuffer(sieve, dtype=bool, count=end)
+        blocked[pad:].fill(False)
         # No mark at or past the window's top was ever written, so every
         # pair landing in it is marked here.
-        _mark_pairs(blocked, terms_buf[:k], base, buf)
-        top = base + size
+        _mark_pairs(blocked, terms_buf[:k], top, pad)
         lo = 0  # the cut: terms[:lo] lie at or below 2c - top
-        idx = sieve.find(0, 0, size)
+        last = -1  # the group's largest row; a larger c starts a new one
+        idx = sieve.rfind(0, pad, end)
         while idx >= 0:
-            c = base + idx
+            c = pad + top - 1 - idx
             if c >= VALUE_CAP // 2:
                 raise OverflowLimitError("term value left the 64-bit range")
             if k == len(terms_buf):
                 terms_buf = np.concatenate([terms_buf, np.zeros(len(terms_buf), np.int64)])
-                buf = np.empty_like(terms_buf)
-            terms_buf[k] = c
-            terms.append(c)
+                rel = np.concatenate([rel, np.empty_like(rel)])
             # Every mark 2c - x lies above c; those at or past the top come
             # from the x at or below 2c - top, a prefix, which is cut off.
             # Within a window the cut only rises with c.
             lo = bisect_right(terms, 2 * c - top, lo)
-            _mark(blocked, 2 * c - base, terms_buf[lo:k], buf)
+            if c > last:
+                x0, last = _group(c, top, pad)
+                np.subtract(terms_buf[lo:k], x0, out=rel[lo:k])
+            _mark_row(blocked, pad, top, c, x0, rel[lo:k])
+            terms_buf[k] = c
+            rel[k] = c - x0
+            terms.append(c)
             k += 1
             if count is not None and k >= count:
                 break
-            idx = sieve.find(0, idx + 1, size)
+            idx = sieve.rfind(0, pad, idx)
         if limit is not None and top > limit:
             break  # value bound exhausted
         # Slide the window on past its top.
@@ -397,8 +449,9 @@ def _extend(seed_t: tuple[int, ...], count: int | None, limit: int | None) -> Gr
 def _greedy_run(seed_t: tuple[int, ...], terms: Sequence[int]) -> bool:
     # Are ``terms`` the first len(terms) terms of the greedy run of the
     # valid seed ``seed_t``?  One window fill per window of at most _WINDOW
-    # values over (seed_t[-1], terms[-1]], with the same marks and memory
-    # bound as _extend (see the module docstring for why it is exact).
+    # values over (seed_t[-1], terms[-1]], with the same layout, marks and
+    # memory bound as _extend (see the module docstring for why it is
+    # exact).
     k = len(seed_t)
     if tuple(terms[:k]) != seed_t:
         return False
@@ -414,22 +467,23 @@ def _greedy_run(seed_t: tuple[int, ...], terms: Sequence[int]) -> bool:
         return False
     last = int(run[-1])
     base = seed_t[-1] + 1
-    sieve = bytearray(min(_WINDOW, last + 1 - base))
-    buf = np.empty_like(run)
+    pad = min(_WINDOW, last + 1 - base)
+    sieve = bytearray(2 * pad)
     j = k  # run[j:] lie at or above base
     while base <= last:
-        size = min(len(sieve), last + 1 - base)
-        blocked = np.frombuffer(sieve, dtype=bool, count=size)
-        blocked.fill(False)
+        top = min(base + pad, last + 1)
+        end = pad + top - base
+        blocked = np.frombuffer(sieve, dtype=bool, count=end)
+        blocked[pad:].fill(False)
         # Pairs with y at or past the window's top mark only above it.
-        i = int(np.searchsorted(run, base + size))
-        _mark_pairs(blocked, run[:i], base, buf)
+        i = int(np.searchsorted(run, top))
+        _mark_pairs(blocked, run[:i], top, pad)
         # Flipping the terms' flags leaves no zero byte exactly when every
         # term was free and every other value blocked.
-        blocked[run[j:i] - base] ^= True
-        if sieve.find(0, 0, size) >= 0:
+        blocked[pad + top - 1 - run[j:i]] ^= True
+        if sieve.find(0, pad, end) >= 0:
             return False
-        base, j = base + size, i
+        base, j = top, i
     return True
 
 

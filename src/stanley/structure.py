@@ -17,7 +17,9 @@ when chi > 0 at least one identity fails at level chi - 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .core import GreedySequence, _count_text, _integer, _integers
@@ -163,6 +165,27 @@ class GrowthReport:
     alpha_estimate: float
 
 
+def _growth_columns(terms: Sequence[int], spacing: int):
+    # The sampled indices, their terms and ratios, then ratio_min,
+    # ratio_max and alpha_estimate, as growth_stats reports them; the
+    # growth subcommand prints these columns without building samples.
+    last = len(terms) - 1
+    if last < 1:
+        return [], [], [], math.nan, math.nan, math.nan
+    indices = set(range(spacing, last + 1, spacing))
+    p = 1
+    while p <= last:
+        indices.add(p)
+        p *= 2
+    indices.add(last)
+    indices.discard(0)
+    ns = sorted(indices)
+    values = [terms[n] for n in ns]
+    ratios = [t / float(n) ** LOG2_3 for n, t in zip(ns, values)]
+    tail = bisect_left(ns, ns[-1] / 2)
+    return ns, values, ratios, min(ratios), max(ratios), max(ratios[tail:])
+
+
 def growth_stats(seq, sample_spacing: int = 1) -> GrowthReport:
     """Observational growth report: ratios a_n / n**log2(3).
 
@@ -173,34 +196,7 @@ def growth_stats(seq, sample_spacing: int = 1) -> GrowthReport:
     crude stand-in for the limsup.  Descriptive only, no verdict.
     """
     sample_spacing = _integer(sample_spacing, "sample_spacing", 1)
-    terms = _terms_of(seq)
-    if len(terms) < 2:
-        return GrowthReport(sample_spacing, (), math.nan, math.nan, math.nan)
-
-    last = len(terms) - 1
-    indices = set(range(sample_spacing, last + 1, sample_spacing))
-    p = 1
-    while p <= last:
-        indices.add(p)
-        p *= 2
-    indices.add(last)
-    indices.discard(0)
-
-    samples = []
-    run_min = math.inf
-    run_max = -math.inf
-    for n in sorted(indices):
-        ratio = terms[n] / float(n) ** LOG2_3
-        run_min = min(run_min, ratio)
-        run_max = max(run_max, ratio)
-        samples.append(GrowthSample(n, terms[n], ratio, run_min, run_max))
-
-    tail_from = samples[-1].n / 2
-    alpha = max(s.ratio for s in samples if s.n >= tail_from)
-    return GrowthReport(
-        spacing=sample_spacing,
-        samples=tuple(samples),
-        ratio_min=run_min,
-        ratio_max=run_max,
-        alpha_estimate=alpha,
-    )
+    ns, values, ratios, lo, hi, alpha = _growth_columns(_terms_of(seq), sample_spacing)
+    samples = tuple(map(GrowthSample, ns, values, ratios,
+                        accumulate(ratios, min), accumulate(ratios, max)))
+    return GrowthReport(sample_spacing, samples, lo, hi, alpha)

@@ -202,9 +202,9 @@ def test_window_slides_keep_marks(monkeypatch, window):
     calls = []
     real_mark_pairs = core._mark_pairs
 
-    def spy(blocked, terms, base, buf):
-        calls.append(base)
-        return real_mark_pairs(blocked, terms, base, buf)
+    def spy(sieve, terms, top, pad):
+        calls.append(top)
+        return real_mark_pairs(sieve, terms, top, pad)
 
     monkeypatch.setattr(core, "_WINDOW", window)
     monkeypatch.setattr(core, "_mark_pairs", spy)
@@ -242,26 +242,68 @@ def test_count_mode_matches_naive_oracle(seed, extra, window):
     assert got == naive_stanley(seed, count)
 
 
+def _window_marks(terms, base, size, pad):
+    # The window [base, base + size) as _mark_pairs fills it, read back in
+    # value order; the pad below the window must stay untouched.
+    sieve = np.zeros(pad + size, dtype=bool)
+    arr = np.array(terms, dtype=np.int64)
+    core._mark_pairs(sieve, arr, base + size, pad)
+    assert not sieve[:pad].any()
+    return sieve[pad:][::-1].tolist()
+
+
+_STEPS = st.lists(st.integers(1, 40), max_size=60).map(lambda steps: np.cumsum([0] + steps).tolist())
+
+
 @given(
-    st.lists(st.integers(1, 40), max_size=60).map(lambda steps: np.cumsum([0] + steps).tolist()),
+    _STEPS,
     st.integers(0, 2500),
     st.integers(0, 2500),
     st.sampled_from([0, core._SHORT_SLICE, 10**9]),
     st.sampled_from([1, 5, core._FILL_CHUNK]),
+    st.sampled_from([0, 1, 64, 4096]),
 )
-@example(list(range(1500)), 1500, 1500, core._SHORT_SLICE, core._FILL_CHUNK)
+@example(list(range(1500)), 1500, 1500, core._SHORT_SLICE, core._FILL_CHUNK, 1500)
 @settings(max_examples=200, deadline=None)
-def test_mark_pairs_matches_naive_marks(terms, base, size, short, chunk):
+def test_mark_pairs_matches_naive_marks(terms, base, size, short, chunk, pad):
     # A short-slice threshold of 0 scatters every slice alone, one above
     # every slice gathers them all, and the default mixes both in the
     # example of 1,500 consecutive terms.  Chunks of 1 and 5 marks put one
-    # slice or a few in each gathered scatter.
-    blocked = np.zeros(size, dtype=bool)
-    arr = np.array(terms, dtype=np.int64)
+    # slice or a few in each gathered scatter.  Pads of 0 and 1 put each
+    # row in a group of its own; 4096 puts every row of these terms in one.
     with mock.patch.object(core, "_SHORT_SLICE", short), \
             mock.patch.object(core, "_FILL_CHUNK", chunk):
-        core._mark_pairs(blocked, arr, base, np.empty_like(arr))
-    assert blocked.tolist() == naive_marks(terms, base, size)
+        assert _window_marks(terms, base, size, pad) == naive_marks(terms, base, size)
+
+
+@given(_STEPS, st.integers(0, 2500), st.integers(0, 2500), st.sampled_from(["rows", "window"]))
+@settings(max_examples=150, deadline=None)
+def test_mark_pairs_groups_match_naive_marks(terms, base, size, grouping):
+    # The two extreme groupings, forced with every slice scattered through
+    # its own view: a group spread of 0, one row per group, and a pad of
+    # twice the largest row, which makes the whole window one group.
+    pad = 1 if grouping == "rows" else 2 * terms[-1] + 2
+    with mock.patch.object(core, "_SHORT_SLICE", 0):
+        assert _window_marks(terms, base, size, pad) == naive_marks(terms, base, size)
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 8])
+@pytest.mark.parametrize("seed", [(0,), (0, 1, 13), (0, 3, 5, 15)])
+def test_greedy_run_check_catches_every_edit_at_group_and_window_edges(window, seed):
+    # Tiny windows put a window edge every few values and, with every slice
+    # scattered through its own view, a group edge every window // 2 rows'
+    # worth of values; every term of the run sits at or next to one.  Each
+    # term dropped, moved by one either way or followed by an extra value
+    # must be refused, and the true run accepted.
+    run = naive_stanley(seed, 28)
+    with mock.patch.object(core, "_WINDOW", window), mock.patch.object(core, "_SHORT_SLICE", 0):
+        assert core._greedy_run(seed, run)
+        for i in range(len(seed), len(run)):
+            edits = [run[:i] + run[i + 1:], run[:i] + [run[i] - 1] + run[i + 1:],
+                     run[:i] + [run[i] + 1] + run[i + 1:], run[:i + 1] + [run[i] + 1] + run[i + 1:]]
+            for edited in edits:
+                want = edited == naive_stanley(seed, len(edited))
+                assert core._greedy_run(seed, edited) is want, (i, edited)
 
 
 @pytest.mark.parametrize("seed", [(0, 3, 4), (0, 1, 3, 4, 10)])
@@ -272,9 +314,9 @@ def test_last_window_ends_near_the_last_term(monkeypatch, seed):
     tops = []
     real_mark_pairs = core._mark_pairs
 
-    def spy(blocked, terms, base, buf):
-        tops.append(base + len(blocked))
-        return real_mark_pairs(blocked, terms, base, buf)
+    def spy(sieve, terms, top, pad):
+        tops.append(top)
+        return real_mark_pairs(sieve, terms, top, pad)
 
     monkeypatch.setattr(core, "_mark_pairs", spy)
     terms = generate(seed, count=4096).terms
