@@ -157,7 +157,7 @@ def _check_emitted_head(plan: CharacterPlan) -> None:
     head = plan.recipe.head
     total = 0
     for p, b in enumerate(head):
-        if b % 3**p != 0 or (b // 3**p) % 3 == 0:
+        if b < 1 or _v3(b) != p:
             raise PlanVerificationError(f"head {head} breaks valuation at {p}")
         total += 2 * (b - 3**p)
     if total != plan.target:
@@ -204,14 +204,10 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     # modularize proved the cover modular, so it is increasing, starts at 0 and
     # is 3-AP-free: a valid seed without generate's re-validation.
     if not core._greedy_run(cover.elements, run):
-        # Only a failed check regenerates the run, to name the divergence.
-        # No greedy term past the last realized one is compared, so the
-        # sieve stops at that value.  A run that stops short diverges where
-        # it stopped, and only then is its next term, past the bound, computed.
-        got = core._extend(cover.elements, n_terms, realization[-1]).terms
-        idx = next((i for i, (g, w) in enumerate(zip(got, realization)) if g != w), len(got))
-        if idx == len(got):
-            got = core._extend(cover.elements, idx + 1, None).terms
+        # Only a failed check regenerates the run, n_terms terms of it, to
+        # name the first index where it differs from the realization.
+        got = core._extend(cover.elements, n_terms, None).terms
+        idx = next(i for i, (g, w) in enumerate(zip(got, realization)) if g != w)
         raise PlanVerificationError(
             f"greedy generation diverges from the realization at index "
             f"{idx}: greedy {got[idx]}, realized {realization[idx]}"

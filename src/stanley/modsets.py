@@ -67,7 +67,9 @@ shares: in this process, or in a pool of no more processes than branches
 or usable CPUs.  Every branch reports its nodes to one counter and raises
 once the counter as last read plus its nodes not yet added pass the
 budget.  A first-only search runs in this process and stops at the first
-hit, counting nodes only up to it.
+hit, counting nodes only up to it.  The last middle slot, whose candidates
+cost only a coverage check, peels them one period of N at a time, so a
+wide slot costs O(N) bits per candidate, not its width.
 """
 
 from __future__ import annotations

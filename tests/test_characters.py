@@ -162,11 +162,15 @@ def test_basis_heads_match_the_backtracking_oracle():
 
 @pytest.mark.parametrize("head, message", [
     ((3,), "head (3,) breaks valuation at 0"),
+    ((1, 2), "head (1, 2) breaks valuation at 1"),
     ((2,), "head (2,) realizes 2, wanted 8"),
-], ids=["valuation", "sum"])
+    ((0,), "head (0,) breaks valuation at 0"),
+], ids=["valuation", "valuation-low", "sum", "zero"])
 def test_plan_character_checks_every_emitted_head(monkeypatch, head, message):
     # A planner bug is caught before the plan leaves plan_character: 3 is
-    # divisible by 3 = 3**(0 + 1), and (2,) sums to 2 * (2 - 1).
+    # divisible by 3 = 3**(0 + 1), 2 is not divisible by 3**1, (2,) sums
+    # to 2 * (2 - 1), and 0, divisible by every power of 3, has no exact
+    # valuation (the check must refuse it, not divide it by 3 forever).
     monkeypatch.setattr(characters, "_basis_head_for", lambda mu: head)
     with pytest.raises(PlanVerificationError) as err:
         plan_character(8)
@@ -298,27 +302,34 @@ def test_verify_plan_depth_validation():
 def test_certify_reports_the_first_divergence(monkeypatch, lam, idx, step):
     # A realization that differs from the greedy sequence in one term: a
     # greedy term below the realized one, or, with the last realized term
-    # lowered, a greedy term past it.  The sieve stops at the last realized
-    # term, so in the second case the greedy run stops one term short, and
-    # the message still names its next term.
+    # lowered, a greedy term past it.  One greedy run of as many terms as
+    # the realization, with no value bound, names the greedy term in both
+    # cases.
     plan = plan_character(lam)
     cover = plan_seed(plan)
     assert len(cover.elements) <= 128  # so depth 7 compares 256 terms
     greedy = generate(cover.elements, count=256).terms
-    real_realize = characters.realize_plan
+    real_realize, real_extend = characters.realize_plan, core._extend
+    extends = []
 
     def realize(p, count=None, limit=None):
         terms = real_realize(p, count=count, limit=limit)
         terms[idx] += step
         return terms
 
+    def extend(seed_t, count, limit):
+        extends.append((count, limit))
+        return real_extend(seed_t, count, limit)
+
     monkeypatch.setattr(characters, "realize_plan", realize)
+    monkeypatch.setattr(core, "_extend", extend)
     with pytest.raises(PlanVerificationError) as err:
         verify_plan(plan, depth=7)
     assert str(err.value) == (
         f"greedy generation diverges from the realization at index {idx}: "
         f"greedy {greedy[idx]}, realized {greedy[idx] + step}"
     )
+    assert extends == [(256, None)]
 
 
 def _refuse(*args, **kwargs):

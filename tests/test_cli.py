@@ -332,12 +332,20 @@ def test_text_output_is_exact(capsys, argv, code, plain, csv):
 
 # Digests of outputs too long to spell out.  The gen case's terms reach
 # about 19 windows of core._WINDOW values; the growth case writes 16,383
-# rows, several blocks of cli._BLOCK_ROWS.
+# rows, several blocks of cli._BLOCK_ROWS.  The search cases pin the sets
+# and their order; at ell = 1 and bound 35 the last middle slot spans up
+# to four periods of N = 9.
 DIGESTS = [
     ("gen --seed 0,1,13 --count 32768 --format csv",
      "45b5f545999933a14602c65a989f6e68b4ea0a147f7f2f4be3ebe566b476ada3"),
     ("growth --seed 0,3,4 --count 16384 --format csv",
      "e6faa0899e516a5ecaada4509fcefb6d7432781bde7c1619b618ed083b2f5d02"),
+    ("search --ell 2 --max-element 36 --format json",
+     "cddeefb71b3685471da9e0d8c9337f88d9a2b12d1d3afc6232d5de2f4cef5ab8"),
+    ("search --ell 1 --max-element 35 --format csv",
+     "505f4a0d3ffb6423f0c761ff676bbd3e7caf59886c5964ec88f337e40bc5edb0"),
+    ("search --ell 3 --max-element 40 --first-only --format json",
+     "9b570a7d790e5110c299bd9a7b6f47287cbe12ad6a33c826d2881bb63f54b743"),
 ]
 
 

@@ -516,6 +516,19 @@ def test_search_with_a_huge_ell_is_empty_at_once():
     assert time.perf_counter() - start < 5
 
 
+def test_last_slot_walks_a_wide_window_a_period_at_a_time():
+    # Branch (0, 1) scans its last middle slot, [2, max_element), about
+    # 10**6 values, before it raises.  Peeled one period of N = 9 at a
+    # time, each candidate costs O(N) bits: under 0.5 s on a 2-core x86
+    # host.  Peeling the slot's whole tiled mask costs O(width) bits per
+    # candidate: 16 s there.
+    max_element = 10**6 + 2  # residue 3 stays open with 0 and 1 chosen
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        search_near_modular(1, max_element, budget=max_element + 10)
+    assert time.perf_counter() - start < 5
+
+
 def test_split_hands_out_its_jobs_lazily(monkeypatch):
     # With the budget at the split's own count, the first branch raises at
     # its first share.  The split's 10**6 jobs, about 176 B each, are made
