@@ -8,9 +8,9 @@ object (``record``), a table (``header`` and ``rows``), an optional plain
 formatter for one row (``line``), "name: value" ``notes`` printed in plain
 only, and the exit code.  One renderer prints every report:
 
-* ``--format json`` emits the record as a single object.  A dataclass
-  becomes its fields in order, and integers above 2**53 are rendered as
-  strings so javascript-side readers cannot silently round them.
+* ``--format json`` writes the record in one pass, as json.dumps lays it
+  out with a two-space indent.  A dataclass becomes its fields in order;
+  integers above 2**53 become strings, which javascript cannot round.
 * ``--format csv`` emits the header, if any, then each row's cells joined
   by commas.
 * ``--format plain`` (the default) emits each row through ``line``, or,
@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from . import characters, core, modsets, structure
@@ -67,6 +67,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 _JSON_SAFE_BOUND = 2**53
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 FORMATS = ("plain", "csv", "json")
 
@@ -99,31 +100,51 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _json_ready(value):
-    # Stringify anything a double cannot hold exactly; booleans first,
-    # they are ints to isinstance.
+def _field_dict(obj) -> dict:
+    # A dataclass's fields by name, in order: asdict without its deep copy.
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _json_text(value, indent: str = "") -> str:
+    # ``value`` as JSON indented by two spaces a level, in json.dumps's
+    # layout and spelling, written in one pass.  Keys are strings.
+    # Booleans first: they are ints to isinstance.
     if isinstance(value, bool) or value is None:
-        return value
+        return _JSON_WORDS[value]
     if isinstance(value, int):
-        if abs(value) <= _JSON_SAFE_BOUND:
-            return value
+        if -_JSON_SAFE_BOUND <= value <= _JSON_SAFE_BOUND:
+            return int.__repr__(value)
         # Decimal prints every digit where str() refuses ints past 4,300
         # digits; imported here, it costs no other process its 0.4 MB.
         import decimal
 
-        return str(decimal.Decimal(value))
+        return encode_basestring_ascii(str(decimal.Decimal(value)))
     if isinstance(value, float):
         # NaN is not JSON; undefined ratios become null.
-        return None if math.isnan(value) else value
+        if math.isnan(value):
+            return "null"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
     if isinstance(value, str):
-        return value
+        return encode_basestring_ascii(value)
     if callable(value):  # a value computed only when it is printed
-        return _json_ready(value())
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {f.name: _json_ready(getattr(value, f.name)) for f in fields(value)}
-    return [_json_ready(v) for v in value]  # a list, tuple or generator
+        return _json_text(value(), indent)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) or is_dataclass(value):
+        pairs = value if isinstance(value, dict) else _field_dict(value)
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                         for k, v in pairs.items()])
+        return f"{{\n{inner}{body}\n{indent}}}" if body else "{}"
+    # A list, tuple or generator.  Plain ints that a double holds exactly,
+    # the bulk of every long record, are joined in C.
+    if (type(value) in (list, tuple) and {*map(type, value)} == {int}
+            and -_JSON_SAFE_BOUND <= min(value) and max(value) <= _JSON_SAFE_BOUND):
+        body = sep.join(map(int.__repr__, value))
+    else:
+        body = sep.join([_json_text(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
 
 
 def _join(values) -> str:
@@ -143,7 +164,7 @@ def _render(fmt: str, report: Report) -> None:
     # Rows are written in blocks of _BLOCK_ROWS lines, so a generator of
     # rows is never held whole and a row costs no write call of its own.
     if fmt == "json":
-        print(json.dumps(_json_ready(report.record), indent=2))
+        print(_json_text(report.record))
         return
     sep = "," if fmt == "csv" else " "
     line = report.line if fmt == "plain" else None
@@ -205,7 +226,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         raise ValueError(f"depth {args.depth} needs at least {needed}")
     seq = core.generate(args.seed, count=count)
     result = structure.analyze_independence(seq, max_depth=args.depth)
-    record = {"independent": result.independent, **asdict(result)}
+    record = {"independent": result.independent, **_field_dict(result)}
     if result.independent:
         rows = list(record.items())
     else:
@@ -262,7 +283,7 @@ def _cmd_character(args: argparse.Namespace) -> Report:
     cert = characters.verify_plan(plan, args.depth)
     terms = characters.realize_plan(plan, count=args.count) if args.count else None
     kind = "basis" if isinstance(plan.recipe, characters.BasisRecipe) else "family"
-    recipe = asdict(plan.recipe)
+    recipe = _field_dict(plan.recipe)
     record = {
         "target": plan.target,
         "recipe": {"kind": kind, **recipe},
@@ -275,7 +296,7 @@ def _cmd_character(args: argparse.Namespace) -> Report:
         *((name if kind == "basis" else f"family_{name}", v) for name, v in recipe.items()),
         ("seed_modulus", cover.modulus),
         ("seed", cover.elements),
-        *asdict(cert).items(),
+        *_field_dict(cert).items(),
     ]
     if terms is not None:
         record["terms"] = terms

@@ -451,9 +451,9 @@ def _greedy_run(seed_t: tuple[int, ...], terms: Sequence[int]) -> bool:
     # valid seed ``seed_t``?  One window fill per window of at most _WINDOW
     # values over (seed_t[-1], terms[-1]], with the same layout, marks and
     # memory bound as _extend (see the module docstring for why it is
-    # exact).
+    # exact).  An array's prefix is read through tolist(): ints made in C.
     k = len(seed_t)
-    if tuple(terms[:k]) != seed_t:
+    if tuple(terms[:k].tolist() if isinstance(terms, np.ndarray) else terms[:k]) != seed_t:
         return False
     try:
         run = np.asarray(terms, dtype=np.int64)

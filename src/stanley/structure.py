@@ -147,7 +147,7 @@ def analyze_independence(seq, max_depth: int) -> AnalysisResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrowthSample:
     n: int
     term: int

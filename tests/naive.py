@@ -6,6 +6,10 @@ subset sums go through itertools, modular checks are triple loops.  Keep
 these dumb; their value is independence, not speed.
 """
 
+import decimal
+import json
+import math
+from dataclasses import fields, is_dataclass
 from itertools import combinations
 
 
@@ -331,3 +335,29 @@ def naive_residue_coverage(modulus, max_index=4):
                 break
         out.append(entry)
     return out
+
+
+def naive_json_text(value):
+    """A CLI record as JSON: the standard library's indented encoder over a
+    copy of the record in which every int past 2**53 is a string, NaN is
+    None, callables are called, dataclasses are dicts of their fields and
+    any other iterable is a list."""
+
+    def ready(v):
+        if isinstance(v, bool) or v is None:
+            return v
+        if isinstance(v, int):
+            return v if abs(v) <= 2**53 else str(decimal.Decimal(v))
+        if isinstance(v, float):
+            return None if math.isnan(v) else v
+        if isinstance(v, str):
+            return v
+        if callable(v):
+            return ready(v())
+        if isinstance(v, dict):
+            return {k: ready(x) for k, x in v.items()}
+        if is_dataclass(v):
+            return {f.name: ready(getattr(v, f.name)) for f in fields(v)}
+        return [ready(x) for x in v]
+
+    return json.dumps(ready(value), indent=2)

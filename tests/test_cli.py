@@ -5,11 +5,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -29,7 +31,7 @@ from stanley.cli import (
     main,
 )
 
-from .naive import naive_stanley
+from .naive import naive_json_text, naive_stanley
 
 
 def run_cli(capsys, *argv):
@@ -330,26 +332,65 @@ def test_text_output_is_exact(capsys, argv, code, plain, csv):
         assert run_cli(capsys, *argv.split(), "--format", fmt) == (code, expected, "")
 
 
+@pytest.mark.parametrize(
+    "argv, code, plain, csv", GOLDEN,
+    ids=[case[0].replace("--", "").replace(" ", "-") for case in GOLDEN],
+)
+def test_json_output_is_its_own_layout(capsys, argv, code, plain, csv):
+    # Every number printed is an int a double holds exactly or a float
+    # that round-trips, so reading the output back and writing it with the
+    # standard library's indented encoder gives the same text.
+    out_code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    assert (out_code, err) == (code, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # Digests of outputs too long to spell out.  The gen case's terms reach
 # about 19 windows of core._WINDOW values; the growth case writes 16,383
 # rows, several blocks of cli._BLOCK_ROWS.  The search cases pin the sets
 # and their order; at ell = 1 and bound 35 the last middle slot spans up
-# to four periods of N = 9.
+# to four periods of N = 9.  The JSON cases pin the writer's text on every
+# subcommand with a long record: the 4,096-element cover of lambda =
+# 300002, null ratios, and nested dataclasses.
 DIGESTS = [
-    ("gen --seed 0,1,13 --count 32768 --format csv",
-     "45b5f545999933a14602c65a989f6e68b4ea0a147f7f2f4be3ebe566b476ada3"),
-    ("growth --seed 0,3,4 --count 16384 --format csv",
-     "e6faa0899e516a5ecaada4509fcefb6d7432781bde7c1619b618ed083b2f5d02"),
-    ("search --ell 2 --max-element 36 --format json",
-     "cddeefb71b3685471da9e0d8c9337f88d9a2b12d1d3afc6232d5de2f4cef5ab8"),
-    ("search --ell 1 --max-element 35 --format csv",
-     "505f4a0d3ffb6423f0c761ff676bbd3e7caf59886c5964ec88f337e40bc5edb0"),
-    ("search --ell 3 --max-element 40 --first-only --format json",
-     "9b570a7d790e5110c299bd9a7b6f47287cbe12ad6a33c826d2881bb63f54b743"),
+    pytest.param("gen --seed 0,1,13 --count 32768 --format csv",
+                 "45b5f545999933a14602c65a989f6e68b4ea0a147f7f2f4be3ebe566b476ada3", id="gen"),
+    pytest.param("growth --seed 0,3,4 --count 16384 --format csv",
+                 "e6faa0899e516a5ecaada4509fcefb6d7432781bde7c1619b618ed083b2f5d02", id="growth"),
+    pytest.param("search --ell 2 --max-element 36 --format json",
+                 "cddeefb71b3685471da9e0d8c9337f88d9a2b12d1d3afc6232d5de2f4cef5ab8", id="search0"),
+    pytest.param("search --ell 1 --max-element 35 --format csv",
+                 "505f4a0d3ffb6423f0c761ff676bbd3e7caf59886c5964ec88f337e40bc5edb0", id="search1"),
+    pytest.param("search --ell 3 --max-element 40 --first-only --format json",
+                 "9b570a7d790e5110c299bd9a7b6f47287cbe12ad6a33c826d2881bb63f54b743", id="search2"),
+    pytest.param("character --lambda 300002 --format json",
+                 "34abd220930751779dae32584d0ba41975e22ff2c05e4e7b7cdba341060de6c3",
+                 id="character-json"),
+    pytest.param("character --lambda 40 --count 50 --format json",
+                 "52b66e0167e9fb2ac0bc2917a649a07b6d83d598a10e66701effa86afa1b7b16",
+                 id="character-terms-json"),
+    pytest.param("gen --seed 0,1,13 --count 4096 --format json",
+                 "cc36b837a8ac91d2ba1ae238605ccf5282d4d6b1a3ee16ededd09bf15190d825",
+                 id="gen-json"),
+    pytest.param("growth --seed 0,4 --count 2000 --format json",
+                 "f96fb99192e2bce990f5acc44426bc273995115c851787e0de12d46c8bf980db",
+                 id="growth-json"),
+    pytest.param("growth --seed 0 --count 1 --format json",
+                 "ff8c94c88f2911fcd6979f1ea0cb6594b27688ca3a06c27f348eb1e15a9db1f9",
+                 id="growth-null-json"),
+    pytest.param("coverage --modulus 486 --format json",
+                 "45e743e73aed295948870a6a179db58f092efeed09803430df07143cb1a39911",
+                 id="coverage-json"),
+    pytest.param("explore --head-length 3 --max-entry 12 --format json",
+                 "3900cbf0181280c66263ae93f1d751191e8b6afc28e288074bb0228daa38cb61",
+                 id="explore-json"),
+    pytest.param("families --format json",
+                 "6909173a8a75506ccc7c8f778d8fa47abe9e7cbe588e715e63b65824f2d02462",
+                 id="families-json"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", DIGESTS, ids=[case[0].split()[0] for case in DIGESTS])
+@pytest.mark.parametrize("argv, digest", DIGESTS)
 def test_long_output_digests(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (EXIT_OK, "")
@@ -377,6 +418,65 @@ def test_every_subcommand_prints_only_through_the_renderer(capsys):
         assert isinstance(args.handler(cli._normalize(args)), cli.Report)
         assert capsys.readouterr() == ("", "")
         run_json(capsys, *argv)  # validates against schemas/<name>.json
+
+
+@dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
+# Each strategy draws a builder, a function that makes a fresh value, so a
+# generator in the value can be consumed once by each writer.
+_JSON_INTS = st.one_of(
+    st.integers(),
+    st.builds(lambda base, sign, step: sign * base + step,
+              st.sampled_from([2**53, 2**63]), st.sampled_from([1, -1]), st.integers(-2, 2)),
+)
+_JSON_LEAVES = st.one_of(
+    _JSON_INTS, st.booleans(), st.none(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u2028", "\U0001f600", "é"]),
+    # Sequences of ints, for the joined fast path and the bools it must refuse.
+    st.lists(_JSON_INTS), st.lists(st.one_of(_JSON_INTS, st.booleans())).map(tuple),
+).map(lambda v: lambda: v)
+
+
+def _json_nodes(children):
+    many = st.lists(children, max_size=4)
+    return st.one_of(
+        many.map(lambda bs: lambda: [b() for b in bs]),
+        many.map(lambda bs: lambda: tuple(b() for b in bs)),
+        many.map(lambda bs: lambda: (b() for b in bs)),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+            lambda d: lambda: {k: b() for k, b in d.items()}),
+        st.tuples(children, children).map(lambda ab: lambda: _Pair(ab[0](), ab[1]())),
+        children.map(lambda b: lambda: b),  # a callable that builds the value
+    )
+
+
+@given(st.recursive(_JSON_LEAVES, _json_nodes, max_leaves=30))
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_the_standard_library(build):
+    assert cli._json_text(build()) == naive_json_text(build())
+
+
+def test_json_render_of_a_long_run_holds_each_term_text_once(capsys):
+    # The record of `gen --seed 0 --count 262144`: term i of S(0) is i in
+    # binary read in base 3.  Its 3.8 MB of text peak at 20.1 MiB, each
+    # term's text held once and then joined; the standard library's
+    # indented encoder peaked at 23.8 MiB.
+    terms = tuple(int(f"{i:b}", 3) for i in range(2**18))
+    assert list(terms[:40]) == naive_stanley([0], 40)
+    report = cli.Report({"seed": (0,), "terms": terms})
+    tracemalloc.start()
+    try:
+        cli._render("json", report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out) == 3757477
+    assert peak < 22 * 2**20
 
 
 def test_gen_plain_tokens(capsys):
@@ -545,6 +645,8 @@ def test_search_json_prints_a_modulus_past_the_int_string_limit(capsys):
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == 3**10001
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1f0f7194a5e3cfa6a33712e2275a009d463742369647d00669ea7e61a7ce2870")
 
 
 def test_search_budget_exit(capsys):

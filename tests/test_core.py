@@ -166,6 +166,8 @@ def test_greedy_run_check_matches_the_naive_oracle_and_extend(seed, extra, windo
         "unsorted_tail", "seed_differs_below_its_max", "past_int64"])
 def test_greedy_run_check_edges(seed, run, want):
     assert core._greedy_run(seed, run) is want
+    if run[-1] < 2**62:  # verify_plan hands the check an int64 array
+        assert core._greedy_run(seed, np.array(run, dtype=np.int64)) is want
 
 
 @pytest.mark.parametrize("seed, count", [((0, 2**61 - 3), 4), ((0, 2**61 + 7), 3),

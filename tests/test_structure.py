@@ -1,6 +1,8 @@
 """Independence analysis and growth reporting."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from stanley import (
     analyze_independence,
     character_at,
     generate,
+    GrowthSample,
     growth_stats,
 )
 
@@ -173,6 +176,20 @@ def test_growth_alpha_uses_trailing_half():
     cut = report.samples[-1].n / 2
     expected = max(s.ratio for s in report.samples if s.n >= cut)
     assert report.alpha_estimate == expected
+
+
+def test_growth_sample_is_a_frozen_slotted_record():
+    sample = growth_stats(generate([0, 4], count=20), sample_spacing=3).samples[2]
+    assert [f.name for f in dataclasses.fields(GrowthSample)] == [
+        "n", "term", "ratio", "running_min", "running_max"]
+    twin = GrowthSample(sample.n, sample.term, sample.ratio, sample.running_min,
+                        sample.running_max)
+    assert sample == twin and hash(sample) == hash(twin)
+    assert sample != dataclasses.replace(sample, term=sample.term + 1)
+    assert not hasattr(sample, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.ratio = 0.0
+    assert pickle.loads(pickle.dumps(sample)) == sample
 
 
 def test_growth_degenerate():
