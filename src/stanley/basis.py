@@ -16,9 +16,9 @@ step a merge of two sorted runs cut at the requested bound.  Memory stays
 proportional to the requested output, and any collision between two
 distinct sums is detected and reported rather than silently
 deduplicated.  expand_basis starts from {0} and compose from A, both over
-the basis; modularize starts from A over b_0, ..., b_{n0-1}, and
-expand_modular from a modular A over N, 3N, 9N, ..., whose subset sums
-are N * S({0}).
+the basis; expand_modular from a modular A over N, 3N, 9N, ..., whose
+subset sums are N * S({0}); modularize from A over b_0, ..., b_{n0-1},
+but only when the level certificate of modsets refuses that cover.
 """
 
 from __future__ import annotations
@@ -259,11 +259,11 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
 
     L = { a + sum(delta_k * b_k, k < n0) } taken modulo 3**(n0 + ell)
     tiles the full composition: compose(sys) = L + modulus * S({0}).
-    A repeated value raises DuplicateSumError.  The modularity of L is
-    proved by the level certificate of modsets, linear in the modulus; if
-    it refuses, verify_modular checks every pair, and a failure there is
-    an invariant violation, reported loudly.  A cover of more than
-    COVER_CAP elements raises BudgetExceededError before any sum is built.
+    L is the level certificate's, when it proves L modular.  Otherwise
+    the merge kernel sums L, raising DuplicateSumError on a repeat, and
+    verify_modular checks every pair; a failure there is an invariant
+    violation, reported loudly.  A cover of more than COVER_CAP elements
+    raises BudgetExceededError before any sum is built.
     """
     size = len(sys.a_set) << sys.n0
     if size > COVER_CAP:
@@ -271,17 +271,17 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
             f"cover of {size} elements exceeds the cap of {COVER_CAP}"
         )
     prefix = [sys.basis.element(k) for k in range(sys.n0)]
-    values = _expand(sys.a_set, prefix, (), None, None)
-    modulus = sys.modulus
-    if not _cover_certificate(sys.a_set, prefix, values, modulus):
-        report = verify_modular(values, modulus)
+    values = _cover_certificate(sys.a_set, prefix, sys.modulus)
+    if values is None:
+        values = tuple(_expand(sys.a_set, prefix, (), None, None))
+        report = verify_modular(values, sys.modulus)
         if report.verdict != "modular":
             raise NotModularError(
                 f"composition invariant broken: cover fails modularity at "
-                f"{modulus}: {report.violation}",
+                f"{sys.modulus}: {report.violation}",
                 report=report,
             )
-    return NearModularSet(tuple(values), modulus, "modular")
+    return NearModularSet(values, sys.modulus, "modular")
 
 
 def expand_modular(

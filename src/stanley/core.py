@@ -492,8 +492,9 @@ def minimal_generating_prefix(terms: Sequence[int]) -> int:
 
     Requires terms[0] == 0.  If a prefix of length p works then so does
     every longer one (the greedy successor of a working prefix is the next
-    term), so a binary search over the prefix length is sound.  The full
-    sequence is always a working prefix of itself.
+    term), so a binary search over the prefix length is sound.  When not
+    even the full sequence works it raises InvalidSeedError (a progression
+    or a repeat) or ValueError (out of order).
     """
     values = tuple(_integers(terms))
     if not values or values[0] != 0:
@@ -509,4 +510,6 @@ def minimal_generating_prefix(terms: Sequence[int]) -> int:
             hi = mid
         else:
             lo = mid + 1
+    if lo == len(values) and not works(lo):  # the search never tries len(values)
+        raise ValueError("sequence must be increasing")
     return lo

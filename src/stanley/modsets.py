@@ -45,10 +45,11 @@ proves coverage.  It is enough for a composed system: when b_k has
 3-adic valuation exactly k + ell, the sums of c_k * b_k with c_k in {0,
 1, 2} are distinct mod N, so they are the multiples of 3**ell, and O
 ends full exactly when A's ordered pairs reach every residue mod 3**ell,
-which near-modularity of A asks.  The certificate accepts only when the
-values are exactly the sums it built, all in [0, N) (so residues order
-as the sums do) with 0 among them, cnt is 1 on each, and O is full.
-Refusal decides nothing: the table check then names the violation, or
+which near-modularity of A asks.  The certificate builds the sums and
+returns them, sorted, as modularize's cover only when all lie in [0, N)
+(so residues order as the sums do) with 0 among them, cnt is 1 on each
+(so no two collide), and O is full.  Refusal decides nothing: modularize
+then sums the cover itself, and the table check names the violation, or
 finds none.  Each level is four rotations of N-byte maps, two slice
 operations each, and one saturating minimum, over five maps in all:
 4096 elements modulo 3**12 take 2-3 ms where the table takes about 55,
@@ -192,22 +193,21 @@ def _rotate_into(op, out: np.ndarray, base: np.ndarray, table: np.ndarray, shift
 
 
 def _cover_certificate(
-    a_set: Sequence[int], steps: Sequence[int], values: Sequence[int], modulus: int
-) -> bool:
-    # True proves that ``values``, the sorted sums a + sum(delta_k *
-    # steps[k]), is modular with respect to ``modulus``; False decides
+    a_set: Sequence[int], steps: Sequence[int], modulus: int
+) -> tuple[int, ...] | None:
+    # The sorted sums a + sum(delta_k * steps[k]), as Python ints, when it
+    # proves them modular with respect to ``modulus``; None decides
     # nothing.  The level recursion and its proof are in the module
     # docstring.  n elements reach at most n(n + 1)/2 residues, which also
     # keeps every sum below modulus inside int64.
     n = len(a_set) << len(steps)
     if (
-        len(values) != n
-        or modulus > n * (n + 1) // 2
-        or min(a_set) < 0
+        modulus > n * (n + 1) // 2
+        or min(a_set) != 0
         or min(steps, default=1) < 1
         or max(a_set) + sum(steps) >= modulus
     ):
-        return False
+        return None
     sums = np.array(a_set, dtype=np.int64)
     cells = (2 * sums[:, None] - sums) % modulus
     counts, spare = np.zeros(modulus, np.uint8), np.empty(modulus, np.uint8)
@@ -230,13 +230,9 @@ def _cover_certificate(
         lag += b
         ordered, ordered_spare = ordered_spare, ordered
         sums = np.concatenate([sums, sums + b])
-    sums.sort()
-    return bool(
-        sums[0] == 0
-        and sums.tolist() == list(values)
-        and (counts[(sums - lag) % modulus] == 1).all()
-        and ordered.all()
-    )
+    if (counts[(sums - lag) % modulus] == 1).all() and ordered.all():
+        return tuple(np.sort(sums).tolist())
+    return None
 
 
 def _verify(elements: Iterable[int], modulus: int, near: bool) -> ModSetReport:

@@ -289,7 +289,7 @@ def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
     # is forced: the certificate refuses, and the exact check it falls back
     # to is replaced by one that reports a violation.
     report = ModSetReport("invalid", ModSetViolation("missing-zero"))
-    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, values, modulus: False)
+    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
     monkeypatch.setattr(basis, "verify_modular", lambda values, modulus: report)
     with pytest.raises(NotModularError) as err:
         modularize(compose_system((0,), ell=0, head=(2, 6)))
@@ -328,19 +328,27 @@ def test_hand_built_systems_that_are_not_modular_name_their_violation(a_set, ell
 
 
 def test_modularize_checks_every_pair_only_when_the_certificate_refuses(monkeypatch):
+    # The cover is summed in Python, and every pair checked, only when the
+    # certificate refuses: first the merge kernel, then the table check.
     calls = []
 
-    def spy(values, modulus):
+    def expand_spy(*args):
+        calls.append("expand")
+        return expand(*args)
+
+    def verify_spy(values, modulus):
         calls.append(len(values))
         return verify_modular(values, modulus)
 
-    monkeypatch.setattr(basis, "verify_modular", spy)
+    expand = basis._expand
+    monkeypatch.setattr(basis, "_expand", expand_spy)
+    monkeypatch.setattr(basis, "verify_modular", verify_spy)
     sys1 = compose_system(family_set(2, "A", 3), ell=3)
     cover = modularize(sys1)
     assert calls == []
-    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, values, modulus: False)
+    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
     assert modularize(sys1) == cover
-    assert calls == [len(cover.elements)]
+    assert calls == ["expand", len(cover.elements)]
 
 
 def test_hand_built_systems_with_a_collision_raise():

@@ -420,6 +420,16 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: validate_seed((0, 2**62)), OverflowLimitError,
      f"seed element {2**62} exceeds value cap"),
     (lambda: minimal_generating_prefix((1, 2)), ValueError, "sequence must start at 0"),
+    # No prefix regenerates these, the full sequence included.
+    (lambda: minimal_generating_prefix((0, 1, 2)), InvalidSeedError,
+     r"seed contains the arithmetic progression \(0, 1, 2\)"),
+    (lambda: minimal_generating_prefix((0, 2, 1)), InvalidSeedError,
+     r"seed contains the arithmetic progression \(0, 1, 2\)"),
+    (lambda: minimal_generating_prefix((0, 1, 1)), InvalidSeedError,
+     "seed contains duplicate elements"),
+    (lambda: minimal_generating_prefix((0, 1, 3, 4, 5)), InvalidSeedError,
+     r"seed contains the arithmetic progression \(1, 3, 5\)"),
+    (lambda: minimal_generating_prefix((0, 3, 1)), ValueError, "sequence must be increasing"),
     (lambda: verify_modular((0, 1, 1), 9), ValueError, "elements must be distinct"),
     (lambda: verify_modular((0,), 0), ValueError, "modulus must be positive"),
     (lambda: zero_sequence_value(-1), ValueError, "index must be nonnegative"),
@@ -440,6 +450,8 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: verify_plan(plan_character(40), 0), ValueError, "depth must be positive"),
     (lambda: generate([0]), ValueError, "need a count bound or a value limit"),
 ], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero",
+        "prefix_progression", "prefix_unsorted_progression", "prefix_repeat",
+        "prefix_late_progression", "prefix_order",
         "modular_distinct", "modular_modulus", "zero_index", "family_index", "search_budget",
         "search_workers", "explore_workers", "search_ell", "analysis_depth", "character_depth",
         "growth_spacing", "basis_index", "basis_head", "modular_negative", "explore_length",

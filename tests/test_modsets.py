@@ -164,8 +164,18 @@ def test_family_set_validation():
         family_set(1, "A", -1)
 
 
+# Modular sets whose modulus is not a power of 3: the first 4 or 8 terms
+# of the greedy runs of (0, 1, 7), (0, 4, 7, 11) and (0, 2, 6, 8, 11),
+# modular with respect to the next term, 10 or 29.
+OTHER_BASES = [
+    ((0, 1, 7, 8), 10),
+    ((0, 4, 7, 11, 12, 16, 19, 23), 29),
+    ((0, 2, 6, 8, 11, 13, 17, 19), 29),
+]
+
+
 def test_expand_modular_matches_greedy():
-    for elements, modulus in [((0,), 1), ((0, 1), 3), ((0, 2, 5, 6), 9)]:
+    for elements, modulus in [((0,), 1), ((0, 1), 3), ((0, 2, 5, 6), 9)] + OTHER_BASES:
         expanded = expand_modular(elements, modulus, count=200)
         assert expanded == list(generate(elements, count=200).terms)
 
@@ -750,7 +760,7 @@ def test_certificate_accepts_every_planner_cover():
     assert len(systems) == 1993
     for i, sys_ in enumerate(systems):
         a_set, steps, values = cover_structure(sys_)
-        assert modsets._cover_certificate(a_set, steps, values, sys_.modulus), sys_
+        assert modsets._cover_certificate(a_set, steps, sys_.modulus) == tuple(values), sys_
         assert modsets._first_violation(values, sys_.modulus) is None
         if len(values) <= 64 or i % 64 == 0:
             assert naive_first_violation(values, sys_.modulus) is None
@@ -763,7 +773,7 @@ def test_certificate_accepts_every_family_recipe_to_shift_20():
             for shift in range(21):
                 sys_ = compose_system(family_set(index, side, shift), ell=index + 1)
                 a_set, steps, values = cover_structure(sys_)
-                assert modsets._cover_certificate(a_set, steps, values, sys_.modulus)
+                assert modsets._cover_certificate(a_set, steps, sys_.modulus) == tuple(values)
                 assert modsets._first_violation(values, sys_.modulus) is None
                 if len(values) <= 128:
                     assert naive_first_violation(values, sys_.modulus) is None
@@ -784,17 +794,20 @@ def mutations(a_set, steps, powers):
 
 
 def certificate_is_sound(a_set, steps, modulus):
-    # Whether the certificate accepted the structure's sums; an acceptance
-    # must be a modular set.  A structure whose sums collide gives None.
+    # Whether the certificate accepted the structure; what it accepts must
+    # be the structure's sums and a modular set.  A structure whose sums
+    # collide must be refused, and gives None.
+    cover = modsets._cover_certificate(a_set, steps, modulus)
     try:
         values = basis._expand(a_set, steps, (), None, None)
     except DuplicateSumError:
+        assert cover is None, (a_set, steps)
         return None
-    accepted = modsets._cover_certificate(a_set, steps, values, modulus)
-    if accepted:
+    if cover is not None:
+        assert cover == tuple(values), (a_set, steps)
         assert modsets._first_violation(values, modulus) is None, (a_set, steps)
         assert verify_modular(values, modulus).verdict == "modular", (a_set, steps)
-    return accepted
+    return cover is not None
 
 
 MUTATION_BASES = {
@@ -831,17 +844,40 @@ def test_certificate_is_never_wrong_on_repeated_edits(build, data):
 
 @on_each_base
 def test_certificate_refuses_values_that_are_not_its_sums(build):
+    # The certificate returns no values but the sums it built: the cover it
+    # proves is the merge kernel's, sorted, on the base and on every single
+    # edit that it accepts.
     sys_ = build()
     a_set, steps, values = cover_structure(sys_)
-    modulus = sys_.modulus
-    assert modsets._cover_certificate(a_set, steps, values, modulus)
-    for pos in sorted({0, 1, len(values) // 2, len(values) - 1}):
-        rest = values[:pos] + values[pos + 1 :]
-        assert not modsets._cover_certificate(a_set, steps, rest, modulus)
-        for move in (1, -1, modulus):
-            moved = sorted(rest + [values[pos] + move])
-            assert not modsets._cover_certificate(a_set, steps, moved, modulus)
-    assert not modsets._cover_certificate(a_set, steps, values[::-1], modulus)
+    cover = modsets._cover_certificate(a_set, steps, sys_.modulus)
+    assert cover == tuple(values)
+    assert all(type(v) is int for v in cover)
+    accepted = 0
+    for a, s in mutations(a_set, steps, sys_.n0 + sys_.ell):
+        cover = modsets._cover_certificate(a, s, sys_.modulus)
+        if cover is not None:
+            assert cover == tuple(basis._expand(a, s, (), None, None)), (a, s)
+            accepted += 1
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("base, unit", OTHER_BASES)
+@pytest.mark.parametrize("heads", [[], [1], [2], [1, 3]], ids=["none", "N0", "2N0", "N0-3N0"])
+def test_certificate_proves_covers_over_other_base_moduli(base, unit, heads):
+    # A base set L, modular with respect to N0 = unit, under heads b_k that
+    # are N0 * 3**k times a unit mod 3: the cover is modular with respect to
+    # N0 * 3**len(heads), and tiles its own greedy run.
+    steps = [h * unit for h in heads]
+    modulus = unit * 3 ** len(heads)
+    cover = modsets._cover_certificate(list(base), steps, modulus)
+    assert cover == tuple(basis._expand(base, steps, (), None, None))
+    assert naive_first_violation(cover, modulus) is None
+    assert list(generate(cover, count=1024).terms) == expand_modular(cover, modulus, count=1024)
+
+
+def test_certificate_refuses_a_cover_past_its_modulus():
+    # Heads 40 and 60 over (0, 1, 7, 8) reach 8 + 40 + 60 = 108 >= 90.
+    assert modsets._cover_certificate([0, 1, 7, 8], [40, 60], 90) is None
 
 
 def test_certificate_memory_is_a_few_bytes_per_residue():
@@ -852,9 +888,9 @@ def test_certificate_memory_is_a_few_bytes_per_residue():
     assert len(values) == 4096
     tracemalloc.start()
     try:
-        accepted = modsets._cover_certificate(a_set, steps, values, modulus)
+        cover = modsets._cover_certificate(a_set, steps, modulus)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert accepted
+    assert cover == tuple(values)
     assert peak < 6 * modulus
