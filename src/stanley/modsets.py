@@ -61,16 +61,24 @@ would close a progression exactly when c mod N lies in {2a - b, (a + b)/2
 : a, b chosen}.  A new element y closes -A, 2A and A(N + 1)/2, for the
 chosen A, moved by 2y, -y and y(N + 1)/2: rotations of three more masks,
 stored doubled so that one shift rotates each.  So admitting y costs a
-few int operations, whatever |A|.  The tree is split once, at the first
-middle element v1: one branch (0, v1) per legal v1, made as it is handed
-out and run in order by _branches, the runner explore_basic_characters
-shares: in this process, or in a pool of no more processes than branches
-or usable CPUs.  Every branch reports its nodes to one counter and raises
-once the counter as last read plus its nodes not yet added pass the
-budget.  A first-only search runs in this process and stops at the first
-hit, counting nodes only up to it.  The last middle slot, whose candidates
-cost only a coverage check, peels them one period of N at a time, so a
-wide slot costs O(N) bits per candidate, not its width.
+few int operations, whatever |A|.  The open residues depend only on the
+set admitted, not on the order (a residue is closed exactly when it
+would complete a progression with two admitted elements), so the
+largest element, forced into every set, is admitted at the root with 0.
+A candidate legal after it is then exactly one that keeps it legal, the
+walk reaches the same sets in the same ascending order, and no subtree
+is entered whose largest element is already closed.  The tree is split
+once, at the first middle element v1: one branch (0, v1) per v1 legal
+with 0 and the largest element, made as it is handed out and run in
+order by _branches, the runner explore_basic_characters shares: in this
+process, or in a pool of no more processes than branches or usable
+CPUs.  Every branch reports its nodes to one counter and raises once
+the counter as last read plus its nodes not yet added pass the budget.
+A first-only search runs in this process and stops at the first hit,
+counting nodes only up to it.  The last middle slot, whose candidates
+cost only a coverage check, reads them from the open residues one period
+of N at a time, so a wide slot costs O(N) bits per candidate, not its
+width.
 """
 
 from __future__ import annotations
@@ -445,7 +453,6 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
     prefix, modulus, size, max_element, budget, first_only = job
     chosen = list(prefix)
     steps = _residue_steps(modulus, min(modulus, max_element + 1))
-    last = 1 << max_element % modulus
     # N-bit blocks over [0, max_element]: bit v of open * tile is v's residue.
     tile = ((1 << (max_element // modulus + 1) * modulus) - 1) // ((1 << modulus) - 1)
     found: list[tuple[int, ...]] = []
@@ -471,20 +478,16 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
         nonlocal nodes
         open_ = state[0]
         if stop == max_element:
-            # Last middle slot: a legal candidate must also leave
-            # max_element legal, so it is read from the residues open
-            # with max_element admitted, a period at a time, since each
-            # costs only a coverage check.  The slot is counted once
-            # scanned.
-            if open_ & last:
-                with_max = _admit(state, max_element, steps)[0]
-                for cand in _window(with_max, start, stop, modulus):
-                    full = chosen + [cand, max_element]
-                    if _covers(full, modulus):
-                        found.append(tuple(full))
-                        if first_only:
-                            stop = cand + 1
-                            break
+            # Last middle slot: each legal candidate costs only a coverage
+            # check, so they are read a period at a time.  The slot is
+            # counted once scanned.
+            for cand in _window(open_, start, stop, modulus):
+                full = chosen + [cand, max_element]
+                if _covers(full, modulus):
+                    found.append(tuple(full))
+                    if first_only:
+                        stop = cand + 1
+                        break
             nodes += stop - start + (open_ * tile >> start & (1 << stop - start) - 1).bit_count()
         else:
             # Bit i of bits is start + i.  Peeling one costs O(stop -
@@ -510,7 +513,9 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
         if nodes > limit:
             share()
 
-    rec(_open_residues(chosen, steps), chosen[-1] + 1, max_element - size + len(chosen) + 2)
+    # max_element is admitted first (see search_near_modular).
+    rec(_open_residues((*chosen, max_element), steps), chosen[-1] + 1,
+        max_element - size + len(chosen) + 2)
     del rec  # it refers to itself: drop the cycle, so no collection is needed
     share()
     return found
@@ -527,26 +532,29 @@ def search_near_modular(
     ``max_element``.
 
     Backtracking over ascending elements with 0 forced first and
-    ``max_element`` forced last; partial progressions modulo N are pruned
-    as they appear: a candidate is legal when its residue is outside
-    {2a - b, (a + b)/2 mod N : a, b chosen}, read from an int whose bits
-    are the open residues.  A candidate for the last middle slot must also
-    leave ``max_element`` legal; every full set is then checked for
-    coverage.
+    ``max_element`` forced last, both admitted before any middle element;
+    partial progressions modulo N are pruned as they appear: a candidate
+    is legal when its residue is outside {2a - b, (a + b)/2 mod N : a, b
+    chosen}, read from an int whose bits are the open residues.  These
+    depend only on the chosen set, so a candidate legal with
+    ``max_element`` chosen is exactly one that keeps ``max_element``
+    legal.  Every full set is then checked for coverage.  When
+    ``max_element`` repeats 0's residue, no set exists and the search
+    ends after the split.
     The tree splits once, at the first middle element v1: one branch per
-    legal v1, each walked in ascending order, so results come back sorted,
-    duplicate-free and identical for every worker count.  _branches runs
-    them in at most ``workers`` processes, branches or usable CPUs;
-    ``first_only`` runs them in this process, in order, and stops at the
-    first hit, the lexicographically first set.
+    v1 legal with 0 and ``max_element``, each walked in ascending order, so
+    results come back sorted, duplicate-free and identical for every
+    worker count.  _branches runs them in at most ``workers`` processes,
+    branches or usable CPUs; ``first_only`` runs them in this process, in
+    order, and stops at the first hit, the lexicographically first set.
 
-    A node is one candidate examined, plus one leaf check for each legal
-    candidate for the last middle slot; a first_only search counts the
-    nodes up to its hit.  More than ``budget`` nodes raises
-    BudgetExceededError.  The split counts its v1 candidates in one step,
-    and every branch adds its nodes to one counter.  A serial search stops
-    at the budget; a pool stops within 2**14 nodes per branch in flight
-    past it.
+    A node is one candidate examined with ``max_element`` admitted, plus
+    one leaf check for each legal candidate for the last middle slot; a
+    first_only search counts the nodes up to its hit.  More than
+    ``budget`` nodes raises BudgetExceededError.  The split counts all its
+    v1 candidates in one step, and every branch adds its nodes to one
+    counter.  A serial search stops at the budget; a pool stops within
+    2**14 nodes per branch in flight past it.
     """
     ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element")
     budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)
@@ -557,14 +565,20 @@ def search_near_modular(
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
 
-    # Only a multiple of N repeats 0's residue, so every other v1 is legal.
-    # The jobs are made as the branches are handed out.
+    # The split counts every v1 candidate.  Only the v1 legal with 0 and
+    # max_element are handed out, as jobs made as the branches start;
+    # none is when max_element repeats 0's residue.
     stop = max_element - size + 3
     if stop - 1 > budget:
         raise BudgetExceededError(f"node budget exceeded ({budget})")
+    if max_element % modulus == 0:
+        return []
+    steps = _residue_steps(modulus, min(modulus, max_element + 1))
+    root = _open_residues((0, max_element), steps)[0]
     jobs = (((0, v1), modulus, size, max_element, budget, first_only)
-            for v1 in range(1, stop) if v1 % modulus)
-    count = stop - 1 - (stop - 1) // modulus
+            for v1 in _window(root, 1, stop, modulus))
+    # 0's residue is closed, so [0, stop) holds the same open values.
+    count = stop // modulus * root.bit_count() + (root & (1 << stop % modulus) - 1).bit_count()
     # In one process, the counter as last read plus a branch's nodes not
     # yet added is the exact total, so a serial search raises exactly at
     # the budget.  In a pool it is a lower bound, and the branch that adds

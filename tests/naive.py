@@ -130,7 +130,9 @@ def naive_extension_ok(chosen, cand, modulus):
 def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
     """(sets, nodes) below one search prefix, checking each candidate anew.
 
-    A node is one candidate examined, and one leaf check each time the
+    max_element is admitted before any middle slot, so a candidate is
+    examined against the chosen elements and max_element together.  A
+    node is one candidate examined, and one leaf check each time the
     middle slots are all filled; a set counts when its residues 2y - z,
     y >= z, reach every class.  With first_only the walk stops right after
     the leaf check that finds the first set.
@@ -154,7 +156,7 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
             if first_only and found:
                 return
             nodes += 1
-            if naive_extension_ok(chosen, cand, modulus):
+            if naive_extension_ok(chosen + [max_element], cand, modulus):
                 chosen.append(cand)
                 rec(cand + 1)
                 chosen.pop()
@@ -164,14 +166,19 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
 
 
 def naive_search_prefixes(ell, max_element):
-    """(depth-1 prefixes (0, v1), nodes spent finding them)."""
+    """(depth-1 prefixes (0, v1), nodes spent finding them).
+
+    Every v1 candidate is a node.  A prefix is kept when v1 is legal with
+    0 and max_element both chosen, and none is when max_element repeats
+    0's residue.
+    """
     modulus = 3 ** (ell + 1)
     size = 2 ** (ell + 1)
     prefixes = []
     nodes = 0
     for v1 in range(1, max_element - (size - 3)):
         nodes += 1
-        if naive_extension_ok([0], v1, modulus):
+        if max_element % modulus and naive_extension_ok([0, max_element], v1, modulus):
             prefixes.append((0, v1))
     return prefixes, nodes
 

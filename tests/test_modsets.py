@@ -255,7 +255,9 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(modsets, "_pool_nodes", None)  # the in-process initializer sets it
-    jobs = {"search": 12, "explore": 17}  # first middle elements; (head length, first entry) pairs
+    # Search: the first middle elements legal with 0 and 18.  Explore:
+    # (head length, first entry) pairs.
+    jobs = {"search": len(naive_search_prefixes(2, 18)[0]), "explore": 17}
     for name, run in (
         ("search", lambda: search_near_modular(2, 18, workers=requested)),
         ("explore", lambda: explore_basic_characters(2, 9, workers=requested)),
@@ -342,7 +344,9 @@ def test_branch_search_matches_oracle(data):
     # At ell = 3 the masks span 2 * 81 bits, wider than a machine word.
     ell = data.draw(st.sampled_from([1, 2, 3]), label="ell")
     modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
-    max_element = data.draw(st.integers(size - 1, 30 if ell == 3 else 36), label="max_element")
+    # A max_element that repeats 0's residue has no branch at all.
+    max_element = data.draw(st.integers(size - 1, 30 if ell == 3 else 36).filter(
+        lambda m: m % modulus), label="max_element")
     prefixes, _ = naive_search_prefixes(ell, max_element)
     prefix = data.draw(st.sampled_from(prefixes), label="prefix")
     first_only = data.draw(st.booleans(), label="first_only")
@@ -377,6 +381,38 @@ def test_open_residues_match_the_pairwise_check(data):
     assert open_ >> modulus == 0
     assert [open_ >> r & 1 for r in range(modulus)] == [
         naive_extension_ok(prefix, r, modulus) for r in range(modulus)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_open_residues_do_not_depend_on_the_admission_order(data):
+    # The search admits max_element before the middle elements, so its
+    # state must be that of the same set admitted in ascending order.
+    ell = data.draw(st.integers(1, 5), label="ell")
+    modulus = 3 ** (ell + 1)
+    chosen = []
+    for value in data.draw(st.lists(st.integers(0, 3 * modulus), max_size=40), label="values"):
+        if len(chosen) < 12 and naive_extension_ok(chosen, value, modulus):
+            chosen.append(value)
+    order = data.draw(st.permutations(chosen), label="order")
+    steps = modsets._residue_steps(modulus, modulus)
+    assert modsets._open_residues(order, steps) == modsets._open_residues(sorted(chosen), steps)
+
+
+@pytest.mark.parametrize("ell, max_element", [(1, 9), (1, 36), (2, 27), (3, 81)])
+def test_search_ending_on_a_multiple_of_the_modulus_ends_at_the_split(
+    monkeypatch, ell, max_element
+):
+    # max_element repeats 0's residue, so no set exists: the split counts
+    # its v1 candidates and hands out no branch.
+    prefixes, spent = naive_search_prefixes(ell, max_element)
+    assert prefixes == []
+    assert naive_search_nodes(ell, max_element) == spent
+    monkeypatch.setattr(modsets, "_branch_search", mock.Mock(side_effect=AssertionError))
+    assert search_near_modular(ell, max_element, budget=spent) == []
+    assert search_near_modular(ell, max_element, budget=spent, first_only=True) == []
+    with pytest.raises(BudgetExceededError, match=rf"\({spent - 1}\)"):
+        search_near_modular(ell, max_element, budget=spent - 1)
 
 
 @pytest.mark.parametrize("ell, max_element", [(1, 7), (1, 35), (2, 18), (2, 36)])
@@ -541,8 +577,8 @@ def test_last_slot_walks_a_wide_window_a_period_at_a_time():
 
 def test_split_hands_out_its_jobs_lazily(monkeypatch):
     # With the budget at the split's own count, the first branch raises at
-    # its first share.  The split's 10**6 jobs, about 176 B each, are made
-    # as they are handed out, not listed first.
+    # its first share.  The split's 814,811 jobs, about 176 B each, are
+    # made as they are handed out, not listed first.
     branch = modsets._branch_search
     started = []
 
@@ -560,7 +596,8 @@ def test_split_hands_out_its_jobs_lazily(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert started == [(0, 1)]
+    first = next(v1 for v1 in range(1, split) if naive_extension_ok([0, max_element], v1, 27))
+    assert started == [(0, first)]
     assert peak < 8 << 20
 
 
