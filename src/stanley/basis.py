@@ -1,12 +1,12 @@
 """Bases: sequences whose finite subset sums form greedy 3-AP-free sets.
 
-A basis here is a finite head (b_0, ..., b_m) continued by a tail rule.
-The power tail continues with exact powers b_k = 3**(k + shift); the
-geometric tail continues the last head entry by factors of three,
-b_k = b_m * 3**(k - m), which covers bases whose tail is a constant times
-a power of three without being a pure power.
+A basis here is a finite head (b_0, ..., b_{m-1}) continued by one tail
+rule: the tail starts at t and triples, b_k = t * 3**(k - m).  The default
+start t = 3**m gives the exact powers 3**k; t = 3**(m + s) gives the
+powers shifted by s, and t = 3 * b_{m-1} continues the last head entry by
+factors of three.
 
-A basis with exact 3-adic valuations (3**(k + shift) divides b_k exactly)
+A basis with exact 3-adic valuations (3**(k + s) divides b_k exactly)
 makes every value a + sum(delta_k * b_k) uniquely decomposable, which is
 what composition and decomposition below rely on.
 
@@ -23,10 +23,9 @@ but only when the level certificate of modsets refuses that cover.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import _bounds, _integer, _integers
 from .errors import (
@@ -56,27 +55,23 @@ def _v3(n: int) -> int:
 
 @dataclass(frozen=True)
 class Basis:
-    """Finite head plus a tail rule; element(k) is total and increasing
-    past the head."""
+    """Finite head continued by a tail that triples from ``tail_start``
+    (default 3**len(head), the powers 3**k): element k is head[k], then
+    tail_start * 3**(k - len(head))."""
 
     head: tuple[int, ...]
-    shift: int = 0
-    geometric_tail: bool = False
+    tail_start: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(_integers(self.head, "head entries", least=1)))
-        object.__setattr__(self, "shift", _integer(self.shift, "shift", 0))
-        if self.geometric_tail and not self.head:
-            raise ValueError("geometric tail needs a nonempty head")
+        start = 3 ** len(self.head) if self.tail_start is None else self.tail_start
+        object.__setattr__(self, "tail_start", _integer(start, "tail_start", 1))
 
     def element(self, k: int) -> int:
         k = _integer(k, "index", 0)
         if k < len(self.head):
             return self.head[k]
-        if self.geometric_tail:
-            m = len(self.head) - 1
-            return self.head[m] * 3 ** (k - m)
-        return 3 ** (k + self.shift)
+        return self.tail_start * 3 ** (k - len(self.head))
 
 
 @dataclass(frozen=True)
@@ -89,18 +84,18 @@ class BasisReport:
 def verify_basis(b: Basis) -> BasisReport:
     """Exact-valuation validity check.
 
-    Valid when 3**(k + shift) divides b_k exactly for every head index k
-    and the tail continues with pure powers 3**(k + shift).  A geometric
-    tail therefore only passes when the last head entry is itself the
-    exact power, which makes both tail rules agree.
+    The shift is read from the tail, s = max(0, v3(tail_start) - len(head)).
+    Valid when 3**(k + s) divides b_k exactly for every head index k
+    ("valuation" at the first k that fails) and the tail is the pure
+    powers 3**(k + s) ("tail" at index len(head) otherwise).
     """
+    m = len(b.head)
+    s = max(0, _v3(b.tail_start) - m)
     for k, v in enumerate(b.head):
-        if _v3(v) != k + b.shift:
+        if _v3(v) != k + s:
             return BasisReport(False, k, "valuation")
-    if b.geometric_tail and b.head:
-        m = len(b.head) - 1
-        if b.head[m] != 3 ** (m + b.shift):
-            return BasisReport(False, len(b.head), "tail")
+    if b.tail_start != 3 ** (m + s):
+        return BasisReport(False, m, "tail")
     return BasisReport(True)
 
 
@@ -149,8 +144,11 @@ def _expand(
     return sums[:count]
 
 
-def _tail(b: Basis) -> Iterable[int]:
-    return map(b.element, itertools.count(len(b.head)))
+def _tail(start: int) -> Iterator[int]:
+    # start, 3 * start, 9 * start, ...: the tail of every expansion.
+    while True:
+        yield start
+        start *= 3
 
 
 def expand_basis(
@@ -166,28 +164,28 @@ def expand_basis(
     count-th smallest sum, which is exact because tail elements increase.
     """
     count, limit = _bounds(count, limit)
-    return _expand((0,), b.head, _tail(b), count, limit)
+    return _expand((0,), b.head, _tail(b.tail_start), count, limit)
 
 
 @dataclass(frozen=True)
 class ComposedSystem:
-    """Near-modular set A paired with a shifted basis.
+    """Near-modular set A paired with a basis whose tail is shifted by ell.
 
     Invariants are established by compose_system: |A| = 2**ell, A is
-    near-modular with respect to 3**ell, every basis element b_k carries
-    3-adic valuation exactly k + ell, and n0 is the least index >= 1 from
-    which the tail is exact powers and b_{n0} dominates everything below:
+    near-modular with respect to 3**ell, the tail starts at
+    3**(len(head) + ell), every b_k has 3-adic valuation exactly k + ell,
+    and n0 is the least index >= 1 from which the tail is exact powers and
     b_{n0} > max(A) + sum of all earlier basis elements.
     """
 
     a_set: tuple[int, ...]
-    ell: int
     basis: Basis
     n0: int
 
     @property
     def modulus(self) -> int:
-        return 3 ** (self.n0 + self.ell)
+        """b_{n0}, which compose_system makes the exact power 3**(n0 + ell)."""
+        return self.basis.element(self.n0)
 
 
 def compose_system(
@@ -198,10 +196,10 @@ def compose_system(
     """Validate and assemble a composed system.
 
     ``head`` lists explicit leading basis elements; the tail continues
-    with exact powers 3**(k + ell).  With ell = 0 and A = (0,) the
-    composition is the plain subset-sum expansion of Basis(head).  Raises
-    InvalidSystemError on a cardinality or valuation failure, or when A
-    is not near-modular.
+    with exact powers 3**(k + ell), Basis(head, 3**(len(head) + ell)).
+    With ell = 0 and A = (0,) the composition is the plain subset-sum
+    expansion of Basis(head).  Raises InvalidSystemError on a cardinality
+    or valuation failure, or when A is not near-modular.
     """
     ell = _integer(ell, "ell")
     if ell < 0:
@@ -216,7 +214,8 @@ def compose_system(
         raise InvalidSystemError(
             f"set is not near-modular with respect to 3**{ell}: {report.violation}"
         )
-    basis = Basis(head=tuple(head), shift=ell)
+    head = tuple(head)
+    basis = Basis(head, 3 ** (len(head) + ell))
     basis_report = verify_basis(basis)
     if not basis_report.valid:
         raise InvalidSystemError(
@@ -237,7 +236,7 @@ def compose_system(
     while basis.element(n0) <= elements[-1] + prior:
         prior += basis.element(n0)
         n0 += 1
-    return ComposedSystem(a_set=elements, ell=ell, basis=basis, n0=n0)
+    return ComposedSystem(a_set=elements, basis=basis, n0=n0)
 
 
 def compose(
@@ -251,14 +250,14 @@ def compose(
     the uniqueness invariant and raises DuplicateSumError.
     """
     count, limit = _bounds(count, limit)
-    return _expand(sys.a_set, sys.basis.head, _tail(sys.basis), count, limit)
+    return _expand(sys.a_set, sys.basis.head, _tail(sys.basis.tail_start), count, limit)
 
 
 def modularize(sys: ComposedSystem) -> NearModularSet:
     """Finite modular cover of the composed sequence.
 
-    L = { a + sum(delta_k * b_k, k < n0) } taken modulo 3**(n0 + ell)
-    tiles the full composition: compose(sys) = L + modulus * S({0}).
+    L = { a + sum(delta_k * b_k, k < n0) } taken modulo b_{n0} tiles the
+    full composition: compose(sys) = L + modulus * S({0}).
     L is the level certificate's, when it proves L modular.  Otherwise
     the merge kernel sums L, raising DuplicateSumError on a repeat, and
     verify_modular checks every pair; a failure there is an invariant
@@ -305,8 +304,7 @@ def expand_modular(
             f"set is not modular with respect to {modulus}: {report.violation}",
             report=report,
         )
-    powers = (modulus * 3**k for k in itertools.count())
-    return _expand(values, (), powers, count, limit)
+    return _expand(values, (), _tail(modulus), count, limit)
 
 
 @dataclass(frozen=True)
@@ -325,16 +323,17 @@ class Decomposition:
 def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     """Invert compose: recover (a, delta) for a member value.
 
-    Successive reduction: a is pinned by the residue mod 3**ell (elements
-    of A are pairwise distinct there), then each delta_k is pinned modulo
-    3**(ell + k + 1) because all later basis elements vanish at that
-    modulus while b_k does not.  A value outside the sequence fails one of
-    these steps and raises NotRepresentableError.
+    Successive reduction: a is pinned by the residue mod N0 = 3**ell, read
+    as tail_start // 3**len(head) (elements of A are pairwise distinct
+    there), then each delta_k is pinned modulo N0 * 3**(k + 1) because all
+    later basis elements vanish at that modulus while b_k does not.  A
+    value outside the sequence fails one of these steps and raises
+    NotRepresentableError.
     """
     value = _integer(value, "value")
     if value < 0:
         raise NotRepresentableError(f"{value} is negative")
-    base_mod = 3**sys.ell
+    base_mod = sys.basis.tail_start // 3 ** len(sys.basis.head)
     residue_of = {a % base_mod: a for a in sys.a_set}
     a = residue_of.get(value % base_mod)
     if a is None:
@@ -346,12 +345,12 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     if rest < 0:
         raise NotRepresentableError(f"{value} lies below set element {a}")
     deltas: list[int] = []
-    # After level k a nonzero rest is a positive multiple of 3**(ell + k + 1)
+    # After level k a nonzero rest is a positive multiple of N0 * 3**(k + 1)
     # that never grows, so the loop ends within log3(value - a) levels.
-    k = 0
+    step_mod = base_mod
     while rest:
-        b = sys.basis.element(k)
-        step_mod = 3 ** (sys.ell + k + 1)
+        b = sys.basis.element(len(deltas))
+        step_mod *= 3
         r = rest % step_mod
         if r == 0:
             deltas.append(0)
@@ -362,5 +361,4 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
                 raise NotRepresentableError(f"{value} is not a member value")
         else:
             raise NotRepresentableError(f"{value} is not a member value")
-        k += 1
     return Decomposition(a=a, delta=tuple(deltas))

@@ -302,23 +302,19 @@ def _explore_branch(job, counter=None) -> list[tuple[tuple[int, ...], str, tuple
     # and first entry, in lexicographic order, the power tail first.  No
     # node is counted: the budget was checked before any branch ran.
     length, first, max_entry = job
-    power = 3 ** (length - 1)
+    power = 3**length
     survivors = []
     for rest in combinations(range(first + 1, max_entry + 1), length - 1):
         head = (first, *rest)
-        # The geometric tail coincides with the power tail when the last
-        # entry is already the exact power; skip the duplicate.
-        for tail_kind in ("power",) if head[-1] == power else ("power", "geometric"):
-            basis = Basis(head, geometric_tail=(tail_kind == "geometric"))
+        for start in dict.fromkeys((power, 3 * head[-1])):
             try:
-                expansion = expand_basis(basis, count=_EXPLORE_TERMS)
-                first_tail = basis.element(length)
-                prefix = tuple(v for v in expansion if v < first_tail)
-                # One has_3ap pass validates the prefix as a seed.
-                seed = core.validate_seed(prefix)
+                expansion = expand_basis(Basis(head, start), count=_EXPLORE_TERMS)
+                # One has_3ap pass validates the sums below the tail as a seed.
+                seed = core.validate_seed(tuple(v for v in expansion if v < start))
             except (DuplicateSumError, InvalidSeedError):
                 continue
             if core._greedy_run(seed, expansion):
+                tail_kind = "power" if start == power else "geometric"
                 survivors.append((head, tail_kind, tuple(expansion)))
     return survivors
 
@@ -332,13 +328,13 @@ def explore_basic_characters(
     """Survey basis heads and report the characters their expansions show.
 
     Enumerates strictly increasing heads up to ``head_length`` entries
-    with values up to ``max_entry``, under both tail rules, keeps the ones
-    whose expansion is reproduced exactly by the greedy generator seeded
-    with the sub-tail prefix, checked against the sieve's marks one window
-    fill at a time, and analyzes each survivor.  Purely
-    observational and makes no completeness claim; this is where odd
-    characters (such as 7, from the head (1, 7, 10) continued
-    geometrically) become visible.  ``budget`` caps the number of
+    with values up to ``max_entry``, under both tail starts, 3**len(head)
+    and 3 * head[-1], keeps the ones whose expansion is reproduced exactly
+    by the greedy generator seeded with the sums below the tail start,
+    checked against the sieve's marks one window fill at a time, and
+    analyzes each survivor.  Purely observational and makes no
+    completeness claim; this is where odd characters (such as 7, from
+    Basis((1, 7, 10), 30)) become visible.  ``budget`` caps the number of
     candidate expansions.  The survey splits once, into one branch per
     head length and first entry; each hands back only its survivors, so
     memory grows with the survivors, not the candidates, and results are
@@ -352,7 +348,7 @@ def explore_basic_characters(
     # A strictly increasing head in [1, max_entry] has at most max_entry entries.
     head_length = min(head_length, max_entry)
     if budget is not None:
-        # Every head comes with both tails, except a head ending in the
+        # Every head comes with two tail starts, except a head ending in the
         # exact power p = 3**(length - 1): comb(p - 1, length - 1) such
         # heads.  heads steps through comb(max_entry, length) by one factor
         # per length, so no binomial is recomputed from scratch.

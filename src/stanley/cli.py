@@ -219,7 +219,7 @@ def _cmd_gen(args: argparse.Namespace) -> Report:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Report:
-    required = 2**args.depth + 2 ** (args.depth - 1)
+    required = structure._terms_needed(args.depth)
     count = args.count if args.count is not None else required
     if count < required:
         needed = core._count_text(required, "terms")

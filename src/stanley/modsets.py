@@ -556,7 +556,7 @@ def search_near_modular(
     counter.  A serial search stops at the budget; a pool stops within
     2**14 nodes per branch in flight past it.
     """
-    ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element")
+    ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element", 0)
     budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)
     # 2**(ell+1) elements need max_element >= 2**(ell+1) - 1, read from
     # the bit length, so the sizes are built only once they fit.

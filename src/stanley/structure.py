@@ -103,6 +103,10 @@ def _addition_violation(terms: Sequence[int], k: int) -> IdentityViolation | Non
     return None
 
 
+def _terms_needed(depth: int) -> int:
+    return 2**depth + 2 ** (depth - 1)
+
+
 def analyze_independence(seq, max_depth: int) -> AnalysisResult:
     """Check the block identities up to ``max_depth`` and certify or refute.
 
@@ -113,7 +117,7 @@ def analyze_independence(seq, max_depth: int) -> AnalysisResult:
     """
     max_depth = _integer(max_depth, "max_depth", 1)
     terms = _terms_of(seq)
-    need = 2**max_depth + 2 ** (max_depth - 1)
+    need = _terms_needed(max_depth)
     if len(terms) < need:
         raise InsufficientTermsError(
             f"depth {max_depth} needs at least {_count_text(need, 'terms')}, got {len(terms)}"

@@ -274,6 +274,16 @@ def naive_first_violation(elements, modulus):
     return None
 
 
+def naive_verify_basis(head, shift):
+    """(valid, index, reason) of a head continued by the powers
+    3**(k + shift): valid when 3**(k + shift) divides b_k and 3**(k + shift + 1)
+    does not, for every head index k; else the first k that fails."""
+    for k, b in enumerate(head):
+        if b % 3 ** (k + shift) != 0 or b % 3 ** (k + shift + 1) == 0:
+            return (False, k, "valuation")
+    return (True, None, None)
+
+
 def naive_basis_cover(head):
     """Modular cover of a basis head continued by exact powers of three.
 

@@ -200,7 +200,7 @@ def test_criterion_08_odd_character_example():
         assert cert.independent and cert.character == 7
         # tail triples from the last head entry: literal powers of three
         # fail the valuation rule for this head, the greedy terms decide
-        basis = Basis((1, 7, 10), geometric_tail=True)
+        basis = Basis((1, 7, 10), 30)
         assert expand_basis(basis, count=300) == list(terms)
 
 

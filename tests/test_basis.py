@@ -31,22 +31,23 @@ from stanley import (
 from stanley import basis
 from stanley.cli import main
 
-from .naive import naive_expansion, naive_subset_sums
+from .naive import naive_expansion, naive_subset_sums, naive_verify_basis
 
 
 def test_basis_element_rules():
     b = Basis((1, 7, 10))
     assert [b.element(k) for k in range(5)] == [1, 7, 10, 27, 81]
-    g = Basis((1, 7, 10), geometric_tail=True)
+    assert b == Basis((1, 7, 10), 27)
+    g = Basis((1, 7, 10), 30)
     assert [g.element(k) for k in range(6)] == [1, 7, 10, 30, 90, 270]
-    s = Basis((), shift=2)
+    s = Basis((), 9)
     assert [s.element(k) for k in range(3)] == [9, 27, 81]
     with pytest.raises(ValueError):
         b.element(-1)
     with pytest.raises(ValueError):
         Basis((0, 3))
     with pytest.raises(ValueError):
-        Basis((), geometric_tail=True)
+        Basis((1,), 0)
 
 
 def test_verify_basis_valuations():
@@ -54,20 +55,39 @@ def test_verify_basis_valuations():
     assert verify_basis(Basis((2, 3, 9))).valid
     bad = verify_basis(Basis((1, 9)))  # 9 has valuation 2 at index 1
     assert not bad.valid and bad.index == 1 and bad.reason == "valuation"
-    shifted = verify_basis(Basis((9, 54), shift=2))
+    shifted = verify_basis(Basis((9, 54), 3**4))
     assert shifted.valid
     assert not verify_basis(Basis((3,))).valid
 
 
+@given(st.data(), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_verify_basis_matches_the_shift_given_oracle(data, shift):
+    # Each head entry carries a valuation near the one its index asks for,
+    # so valid heads and failures at every index both occur; the shift is
+    # given to the oracle and read back from the tail start by verify_basis.
+    size = data.draw(st.integers(0, 5))
+    head = [
+        data.draw(st.integers(1, 40)) * 3 ** max(0, k + shift + data.draw(st.integers(-1, 1)))
+        for k in range(size)
+    ]
+    report = verify_basis(Basis(head, 3 ** (len(head) + shift)))
+    assert (report.valid, report.index, report.reason) == naive_verify_basis(head, shift)
+
+
 def test_verify_basis_geometric_tail():
-    # geometric continuation is only valid from an exact power
-    assert verify_basis(Basis((1, 3), geometric_tail=True)).valid
-    rep = verify_basis(Basis((2, 6), geometric_tail=True))
+    # continuing the last head entry is only valid from an exact power
+    assert verify_basis(Basis((1, 3), 9)).valid
+    rep = verify_basis(Basis((2, 6), 18))
     assert not rep.valid and rep.reason == "tail" and rep.index == 2
     # a head that already breaks valuations reports that first, even
     # when its expansion happens to be a perfectly good greedy sequence
-    rep = verify_basis(Basis((1, 7, 10), geometric_tail=True))
+    rep = verify_basis(Basis((1, 7, 10), 30))
     assert not rep.valid and rep.reason == "valuation" and rep.index == 1
+    # the shift is read from the tail: 9, 27, 81, ... is the power tail
+    # shifted by 2, whatever the head is called
+    assert verify_basis(Basis((9,), 27)) == verify_basis(Basis((), 9))
+    assert verify_basis(Basis((9,), 27)).valid
 
 
 def test_expand_matches_zero_sequence():
@@ -90,18 +110,26 @@ def test_expand_matches_zero_sequence():
     ],
 )
 def test_expansions_are_greedy_sequences(head, geometric, seed):
-    got = expand_basis(Basis(head, geometric_tail=geometric), count=200)
+    # A geometric tail starts at 3 * head[-1]; None starts at 3**len(head).
+    got = expand_basis(Basis(head, 3 * head[-1] if geometric else None), count=200)
     assert got == list(generate(seed, count=200).terms)
 
 
 @given(
     st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True),
-    st.booleans(),
+    st.data(),
 )
 @settings(max_examples=120, deadline=None)
-def test_expansion_matches_itertools(head, geometric):
+def test_expansion_matches_itertools(head, data):
+    # The tail start is the power start 3**(m + s), the geometric start
+    # 3 * head[-1], or any positive integer.
     head = tuple(sorted(head))
-    basis = Basis(head, geometric_tail=geometric)
+    start = data.draw(st.one_of(
+        st.integers(0, 3).map(lambda s: 3 ** (len(head) + s)),
+        st.just(3 * head[-1]),
+        st.integers(1, 300),
+    ))
+    basis = Basis(head, start)
     window = [basis.element(k) for k in range(len(head) + 3)]
     reference = naive_subset_sums(window)
     if len(set(reference)) != len(reference):
@@ -320,7 +348,7 @@ def test_hand_built_systems_that_are_not_modular_name_their_violation(a_set, ell
     # Built directly, past compose_system's checks: the certificate refuses
     # and the exact check names the violation, as it did before the
     # certificate existed.
-    broken = ComposedSystem(a_set=a_set, ell=ell, basis=Basis(head, shift=ell), n0=n0)
+    broken = ComposedSystem(a_set=a_set, basis=Basis(head, 3 ** (len(head) + ell)), n0=n0)
     with pytest.raises(NotModularError) as err:
         modularize(broken)
     assert str(err.value) == f"composition invariant broken: cover fails modularity at {violation}"
@@ -354,11 +382,11 @@ def test_modularize_checks_every_pair_only_when_the_certificate_refuses(monkeypa
 def test_hand_built_systems_with_a_collision_raise():
     # compose_system rejects both; built directly, each reaches one value
     # twice.  Here 9 = 9 + 0 = 0 + b_1.
-    broken = ComposedSystem(a_set=(0, 9), ell=1, basis=Basis((), shift=1), n0=1)
+    broken = ComposedSystem(a_set=(0, 9), basis=Basis((), 3), n0=1)
     with pytest.raises(DuplicateSumError):
         compose(broken, count=4)
     # And 3 = 3 + 0 = 0 + b_0 inside the cover.
-    broken = ComposedSystem(a_set=(0, 3), ell=1, basis=Basis((), shift=1), n0=1)
+    broken = ComposedSystem(a_set=(0, 3), basis=Basis((), 3), n0=1)
     with pytest.raises(DuplicateSumError):
         modularize(broken)
 

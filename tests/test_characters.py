@@ -26,6 +26,8 @@ from stanley import (
     NotRealizableError,
     PlanVerificationError,
     analyze_independence,
+    compose,
+    decompose,
     expand_basis,
     explore_basic_characters,
     generate,
@@ -444,13 +446,29 @@ def test_explore_dedups_equal_expansions():
         seen.add(key)
 
 
-def realize_plan_like(result):
-    from stanley import Basis, expand_basis
+def test_every_planner_system_reads_its_modulus_off_its_basis():
+    # compose_system's n0 rule makes b_{n0} the exact power 3**(n0 + ell),
+    # which the system reads as its modulus, with ell from the recipe; and
+    # decompose inverts the first 256 terms of every system.
+    for lam in range(0, 2001, 2):
+        if lam % 486 == 244:
+            continue
+        plan = plan_character(lam)
+        ell = plan.recipe.index + 1 if isinstance(plan.recipe, FamilyRecipe) else 0
+        sys_ = plan.system
+        assert sys_.modulus == 3 ** (sys_.n0 + ell), lam
+        for v in compose(sys_, count=256):
+            assert decompose(v, sys_).value(sys_) == v, (lam, v)
 
-    return expand_basis(
-        Basis(result.head, geometric_tail=(result.tail == "geometric")),
-        count=32,
-    )
+
+def explored_basis(head, tail):
+    # The basis of an explored head: the power tail starts at 3**len(head),
+    # the geometric tail at 3 * head[-1].
+    return Basis(head, 3 ** len(head) if tail == "power" else 3 * head[-1])
+
+
+def realize_plan_like(result):
+    return expand_basis(explored_basis(result.head, result.tail), count=32)
 
 
 def test_explore_validates_each_seed_once(monkeypatch):
@@ -481,7 +499,7 @@ def _explore_branch_oracle(length, first, max_entry):
     for rest in combinations(range(first + 1, max_entry + 1), length - 1):
         head = (first, *rest)
         for tail in ("power",) if head[-1] == 3 ** (length - 1) else ("power", "geometric"):
-            basis = Basis(head, geometric_tail=(tail == "geometric"))
+            basis = explored_basis(head, tail)
             try:
                 expansion = expand_basis(basis, count=characters._EXPLORE_TERMS)
                 prefix = [v for v in expansion if v < basis.element(length)]
@@ -580,7 +598,7 @@ def test_explore_pool_maps_one_branch_per_length_and_first_entry(monkeypatch):
     # expansion, reproduced by the greedy generator from the sub-tail prefix.
     entries = [entry for _, found in returned for entry in found]
     for head, tail, expansion in entries:
-        basis = Basis(head, geometric_tail=(tail == "geometric"))
+        basis = explored_basis(head, tail)
         assert list(expansion) == expand_basis(basis, count=len(expansion))
         prefix = [v for v in expansion if v < basis.element(len(head))]
         assert generate(prefix, count=len(expansion)).terms == expansion

@@ -384,6 +384,10 @@ DIGESTS = [
     pytest.param("explore --head-length 3 --max-entry 12 --format json",
                  "3900cbf0181280c66263ae93f1d751191e8b6afc28e288074bb0228daa38cb61",
                  id="explore-json"),
+    # 57 survivors, two of them only the geometric tail start reaches.
+    pytest.param("explore --head-length 3 --max-entry 30 --format json",
+                 "4aa56e26c4bf2f921d4415237fbeb4d5899ccc7839d1894b0e0afa771f817a8f",
+                 id="explore-wide-json"),
     pytest.param("families --format json",
                  "6909173a8a75506ccc7c8f778d8fa47abe9e7cbe588e715e63b65824f2d02462",
                  id="families-json"),

@@ -391,7 +391,7 @@ _SYSTEM = compose_system(family_set(1, "A", 1), 2)
 @pytest.mark.parametrize("bad", [1.5, True, "5"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("call, good", [
     (lambda v: expand_basis(Basis((v, 3)), count=4), 1),
-    (lambda v: Basis((1, 3), shift=v), 2),
+    (lambda v: Basis((1, 3), v), 27),
     (lambda v: family_set(1, "A", v), 2),
     (lambda v: family_set(v, "A", 0), 2),
     (lambda v: family_modulus(v), 2),
@@ -416,7 +416,7 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: decompose(6, _SYSTEM), NotRepresentableError, "6 lies below set element 15"),
     (lambda: decompose(20, _SYSTEM), NotRepresentableError, "20 is not a member value"),
-    (lambda: Basis((1,), shift=-1), ValueError, "shift must be nonnegative"),
+    (lambda: Basis((1,), 0), ValueError, "tail_start must be positive"),
     (lambda: validate_seed((0, 2**62)), OverflowLimitError,
      f"seed element {2**62} exceeds value cap"),
     (lambda: minimal_generating_prefix((1, 2)), ValueError, "sequence must start at 0"),
@@ -438,6 +438,10 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: search_near_modular(1, 6, workers=0), ValueError, "workers must be positive"),
     (lambda: explore_basic_characters(2, 4, workers=0), ValueError, "workers must be positive"),
     (lambda: search_near_modular(0, 6), ValueError, "ell must be positive"),
+    # A negative bound once indexed an empty residue table (IndexError).
+    (lambda: search_near_modular(1, -5), ValueError, "max_element must be nonnegative"),
+    (lambda: search_near_modular(1, -100), ValueError, "max_element must be nonnegative"),
+    (lambda: search_near_modular(1, -1), ValueError, "max_element must be nonnegative"),
     (lambda: analyze_independence([0, 1, 3, 4], 0), ValueError, "max_depth must be positive"),
     (lambda: character_at([0, 1], -1), ValueError, "depth must be nonnegative"),
     (lambda: growth_stats([0, 1], 0), ValueError, "sample_spacing must be positive"),
@@ -453,7 +457,8 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
         "prefix_progression", "prefix_unsorted_progression", "prefix_repeat",
         "prefix_late_progression", "prefix_order",
         "modular_distinct", "modular_modulus", "zero_index", "family_index", "search_budget",
-        "search_workers", "explore_workers", "search_ell", "analysis_depth", "character_depth",
+        "search_workers", "explore_workers", "search_ell", "search_max_minus_5",
+        "search_max_minus_100", "search_max_minus_1", "analysis_depth", "character_depth",
         "growth_spacing", "basis_index", "basis_head", "modular_negative", "explore_length",
         "explore_entry", "explore_budget", "plan_depth", "generate_bounds"])
 def test_argument_errors(call, error, message):

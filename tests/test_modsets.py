@@ -862,7 +862,7 @@ on_each_base = pytest.mark.parametrize("build", list(MUTATION_BASES.values()), i
 def test_certificate_is_never_wrong_on_any_single_edit(build):
     sys_ = build()
     a_set, steps, _ = cover_structure(sys_)
-    edits = mutations(a_set, steps, sys_.n0 + sys_.ell)
+    edits = mutations(a_set, steps, basis._v3(sys_.modulus))
     verdicts = [certificate_is_sound(a, s, sys_.modulus) for a, s in edits]
     # Both answers occur, so the soundness checks above are not vacuous.
     assert verdicts.count(True) > 0 and verdicts.count(False) > 0
@@ -874,7 +874,7 @@ def test_certificate_is_never_wrong_on_repeated_edits(build, data):
     sys_ = build()
     a_set, steps, _ = cover_structure(sys_)
     for _ in range(data.draw(st.integers(2, 4))):
-        edits = list(mutations(a_set, steps, sys_.n0 + sys_.ell))
+        edits = list(mutations(a_set, steps, basis._v3(sys_.modulus)))
         a_set, steps = edits[data.draw(st.integers(0, len(edits) - 1))]
     certificate_is_sound(a_set, steps, sys_.modulus)
 
@@ -890,7 +890,7 @@ def test_certificate_refuses_values_that_are_not_its_sums(build):
     assert cover == tuple(values)
     assert all(type(v) is int for v in cover)
     accepted = 0
-    for a, s in mutations(a_set, steps, sys_.n0 + sys_.ell):
+    for a, s in mutations(a_set, steps, basis._v3(sys_.modulus)):
         cover = modsets._cover_certificate(a, s, sys_.modulus)
         if cover is not None:
             assert cover == tuple(basis._expand(a, s, (), None, None)), (a, s)
