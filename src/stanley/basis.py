@@ -169,12 +169,12 @@ def expand_basis(
 
 @dataclass(frozen=True)
 class ComposedSystem:
-    """Near-modular set A paired with a basis whose tail is shifted by ell.
+    """Near-modular set A of size 2**ell paired with a basis whose tail
+    starts at 3**(len(head) + ell).
 
-    Invariants are established by compose_system: |A| = 2**ell, A is
-    near-modular with respect to 3**ell, the tail starts at
-    3**(len(head) + ell), every b_k has 3-adic valuation exactly k + ell,
-    and n0 is the least index >= 1 from which the tail is exact powers and
+    Invariants are established by compose_system: A is near-modular with
+    respect to 3**ell, every b_k has 3-adic valuation exactly k + ell, and
+    n0 is the least index >= 1 from which the tail is exact powers and
     b_{n0} > max(A) + sum of all earlier basis elements.
     """
 
@@ -184,31 +184,28 @@ class ComposedSystem:
 
     @property
     def modulus(self) -> int:
-        """b_{n0}, which compose_system makes the exact power 3**(n0 + ell)."""
+        """b_{n0}, which compose_system makes 3**(n0 + ell), 2**ell = |A|."""
         return self.basis.element(self.n0)
 
 
 def compose_system(
     a_set: Iterable[int],
-    ell: int,
+    *,
     head: tuple[int, ...] = (),
 ) -> ComposedSystem:
     """Validate and assemble a composed system.
 
-    ``head`` lists explicit leading basis elements; the tail continues
-    with exact powers 3**(k + ell), Basis(head, 3**(len(head) + ell)).
-    With ell = 0 and A = (0,) the composition is the plain subset-sum
-    expansion of Basis(head).  Raises InvalidSystemError on a cardinality
-    or valuation failure, or when A is not near-modular.
+    ell is read off the set as log2 |A|.  ``head`` lists explicit leading
+    basis elements; the tail continues with exact powers 3**(k + ell),
+    Basis(head, 3**(len(head) + ell)).  With A = (0,), so ell = 0, the
+    composition is the plain subset-sum expansion of Basis(head).  Raises
+    InvalidSystemError when |A| is not a power of two, on a valuation
+    failure, or when A is not near-modular with respect to 3**ell.
     """
-    ell = _integer(ell, "ell")
-    if ell < 0:
-        raise InvalidSystemError("ell must be nonnegative")
     elements = tuple(sorted(_integers(a_set)))
-    if len(elements) != 2**ell:
-        raise InvalidSystemError(
-            f"set size {len(elements)} differs from 2**ell = {2**ell}"
-        )
+    ell = len(elements).bit_length() - 1
+    if not elements or len(elements) != 2**ell:
+        raise InvalidSystemError(f"set size {len(elements)} is not a power of two")
     report = verify_near_modular(elements, 3**ell)
     if report.verdict == "invalid":
         raise InvalidSystemError(
@@ -323,12 +320,12 @@ class Decomposition:
 def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     """Invert compose: recover (a, delta) for a member value.
 
-    Successive reduction: a is pinned by the residue mod N0 = 3**ell, read
-    as tail_start // 3**len(head) (elements of A are pairwise distinct
-    there), then each delta_k is pinned modulo N0 * 3**(k + 1) because all
-    later basis elements vanish at that modulus while b_k does not.  A
-    value outside the sequence fails one of these steps and raises
-    NotRepresentableError.
+    Successive reduction: a is pinned by the residue mod
+    N0 = tail_start // 3**len(head), which compose_system makes 3**ell
+    with ell = log2 |A| (elements of A are pairwise distinct there), then
+    each delta_k is pinned modulo N0 * 3**(k + 1) because all later basis
+    elements vanish at that modulus while b_k does not.  A value outside
+    the sequence fails one of these steps and raises NotRepresentableError.
     """
     value = _integer(value, "value")
     if value < 0:

@@ -14,17 +14,18 @@ realized by one of two recipes, split on lam mod 6:
   Indices past the family table are exactly the class lam = 244
   (mod 486), which this construction does not cover.
 
-Either recipe becomes a composed system (basis.compose_system) in one
-place, CharacterPlan.system, built once per plan.  A family recipe pairs
-the shifted family set with the all-powers tail basis; a basis recipe is
-the degenerate system A = {0}, ell = 0, whose composition is the
-subset-sum expansion of the head and powers.  CharacterPlan.cover, its
-modularize cover, is likewise built and verified once per plan; compose
-gives the realization.  verify_plan is the one certifier: it checks the
-realization against the greedy sieve's marks seeded with the cover, one
-fill per sieve window (core._greedy_run), re-analyzes it for
-independence, and insists the certificate's character equals the target
-exactly.  Explore checks each survivor's expansion the same way.
+Either recipe becomes a composed system (basis.compose_system, which
+reads ell off |A| = 2**ell) in one place, CharacterPlan.system, built
+once per plan.  A family recipe pairs the shifted family set with the
+all-powers tail basis; a basis recipe is the degenerate system A = {0},
+so ell = 0, whose composition is the subset-sum expansion of the head
+and powers.  CharacterPlan.cover, its modularize cover, is likewise
+built and verified once per plan; compose gives the realization.
+verify_plan is the one certifier: it checks the realization against the
+greedy sieve's marks seeded with the cover, one fill per sieve window
+(core._greedy_run), re-analyzes it for independence, and insists the
+certificate's character equals the target exactly.  Explore checks each
+survivor's expansion the same way.
 """
 
 from __future__ import annotations
@@ -76,14 +77,13 @@ class CharacterPlan:
     def system(self) -> ComposedSystem:
         """The composed system of the recipe, built once per plan.
 
-        A basis head is the degenerate system A = {0}, ell = 0:
-        near-modular mod 3**0 = 1.
+        A family set A_i has 2**(i + 1) elements, so ell = i + 1; a basis
+        head is the system A = {0}, ell = 0: near-modular mod 3**0 = 1.
         """
         recipe = self.recipe
         if isinstance(recipe, FamilyRecipe):
-            elements = family_set(recipe.index, recipe.side, recipe.shift)
-            return compose_system(elements, ell=recipe.index + 1)
-        return compose_system((0,), ell=0, head=recipe.head)
+            return compose_system(family_set(recipe.index, recipe.side, recipe.shift))
+        return compose_system((0,), head=recipe.head)
 
     @cached_property
     def cover(self) -> NearModularSet:

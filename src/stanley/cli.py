@@ -423,19 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Bounds that must be positive; --count and --limit may also be zero.
-_POSITIVE = ("count", "limit", "spacing", "workers", "budget",
-             "max_element", "head_length", "max_entry", "depth")
+# The least value of each bound: --count and --limit may be zero.
+_LEAST = dict(count=0, limit=0, spacing=1, workers=1, budget=1,
+              max_element=1, head_length=1, max_entry=1, depth=1)
 
 
 def _normalize(args: argparse.Namespace) -> argparse.Namespace:
     for name in ("seed", "elements"):
         if hasattr(args, name):
             setattr(args, name, _parse_int_list(getattr(args, name)))
-    for name in _POSITIVE:
+    for name, least in _LEAST.items():
         value = getattr(args, name, None)
-        if value is not None and value < (0 if name in ("count", "limit") else 1):
-            raise ValueError(f"--{name.replace('_', '-')} must be positive")
+        if value is not None:
+            core._integer(value, "--" + name.replace("_", "-"), least)
     return args
 
 

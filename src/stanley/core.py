@@ -494,7 +494,8 @@ def minimal_generating_prefix(terms: Sequence[int]) -> int:
     every longer one (the greedy successor of a working prefix is the next
     term), so a binary search over the prefix length is sound.  When not
     even the full sequence works it raises InvalidSeedError (a progression
-    or a repeat) or ValueError (out of order).
+    or a repeat) or ValueError (out of order); a value at or above 2**62
+    raises OverflowLimitError.
     """
     values = tuple(_integers(terms))
     if not values or values[0] != 0:

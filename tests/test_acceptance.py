@@ -94,9 +94,7 @@ def _small_family_covers():
         r = plan.recipe
         if not isinstance(r, FamilyRecipe) or r.index > 3:
             continue
-        sys_ = compose_system(
-            family_set(r.index, r.side, r.shift), ell=r.index + 1
-        )
+        sys_ = compose_system(family_set(r.index, r.side, r.shift))
         covers.append(modularize(sys_))
     return covers
 
@@ -208,7 +206,7 @@ def test_criterion_09_property_suites():
     with criterion(9, "round trips, recheck, determinism, exits"):
         # decompose/value round trip, 1000 values per system
         for args in ((1, "A", 0), (2, "B", 0), (1, "B", 2)):
-            sys_ = compose_system(family_set(*args), ell=args[0] + 1)
+            sys_ = compose_system(family_set(*args))
             values = compose(sys_, count=1000)
             for v in values:
                 dec = decompose(v, sys_)

@@ -31,7 +31,7 @@ from stanley import (
 from stanley import basis
 from stanley.cli import main
 
-from .naive import naive_expansion, naive_subset_sums, naive_verify_basis
+from .naive import naive_expansion, naive_is_near_modular, naive_subset_sums, naive_verify_basis
 
 
 def test_basis_element_rules():
@@ -168,7 +168,7 @@ def test_expand_collision_detection():
     "expand",
     [
         lambda **bounds: expand_basis(Basis((1,)), **bounds),
-        lambda **bounds: compose(compose_system(family_set(1, "A"), ell=2), **bounds),
+        lambda **bounds: compose(compose_system(family_set(1, "A")), **bounds),
         lambda **bounds: expand_modular((0, 2, 5, 6), 9, **bounds),
     ],
     ids=["expand_basis", "compose", "expand_modular"],
@@ -188,37 +188,77 @@ def test_every_expansion_follows_one_bounds_rule(expand):
 
 
 def test_compose_system_families():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     assert sys1.n0 == 1
     assert sys1.modulus == 27
-    sys_b = compose_system(family_set(1, "B"), ell=2)
+    sys_b = compose_system(family_set(1, "B"))
     assert sys_b.modulus == 3 ** (sys_b.n0 + 2)
     # B side peaks at 12, so 3**3 = 27 > 12 + 9 still holds at n0 = 1
     assert sys_b.n0 == 1
 
 
 def test_compose_system_shifted_needs_larger_block():
-    shifted = compose_system(family_set(1, "A", 2), ell=2)
+    shifted = compose_system(family_set(1, "A", 2))
     # max element 24 pushes past b_1 = 27 <= 24 + 9, so n0 = 2
     assert shifted.n0 == 2
     assert shifted.modulus == 81
 
 
 def test_compose_system_rejections():
-    with pytest.raises(InvalidSystemError):
-        compose_system((0, 2, 5, 6), ell=1)  # wrong cardinality
-    with pytest.raises(InvalidSystemError):
-        compose_system((0, 1, 2, 4), ell=2)  # not near-modular
-    with pytest.raises(InvalidSystemError):
-        compose_system(family_set(1, "A"), ell=2, head=(7,))  # bad valuation
-    with pytest.raises(InvalidSystemError, match="differs from 2"):
-        compose_system((0, 2, 5, 6), ell=0)
-    with pytest.raises(InvalidSystemError, match="nonnegative"):
-        compose_system((0,), ell=-1)
+    with pytest.raises(InvalidSystemError, match=r"^set is not near-modular with respect to 3\*\*2: "):
+        compose_system((0, 1, 2, 4))
+    with pytest.raises(InvalidSystemError, match=r"^basis head invalid at index 0 \(valuation\)$"):
+        compose_system(family_set(1, "A"), head=(7,))
+    # ell is read off |A|: a prefix of A_3 whose size is not a power of two
+    # is refused by its size alone.
+    for size in (0, 3, 5, 6, 12):
+        with pytest.raises(InvalidSystemError, match=f"^set size {size} is not a power of two$"):
+            compose_system(family_set(3, "A")[:size])
+    # head is keyword-only, so a stale positional ell fails by name.
+    with pytest.raises(TypeError, match="positional argument"):
+        compose_system(family_set(1, "A"), 2)
+
+
+@given(
+    st.one_of(
+        st.builds(family_set, st.sampled_from((1, 2)), st.sampled_from("AB"), st.integers(0, 3)),
+        st.sets(st.integers(0, 30), max_size=9).map(sorted),
+    ),
+    st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 5, 7, 8)), st.sampled_from((0, 0, 0, 1))),
+             max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_compose_system_accepts_exactly_what_the_naive_rule_accepts(a_set, entries):
+    # compose_system accepts when |A| = 2**ell, A is near-modular modulo
+    # 3**ell and the head has valuations k + ell.  Head entry k is drawn as
+    # l * 3**(k + ell + e), invalid when 3 divides l or e = 1.
+    ell = next((e for e in range(5) if 2**e == len(a_set)), None)
+    head = tuple(l * 3 ** (k + (ell or 0) + e) for k, (l, e) in enumerate(entries))
+    if ell is None:
+        refusal = f"set size {len(a_set)} is not a power of two"
+    elif not naive_is_near_modular(a_set, 3**ell):
+        refusal = "set is not near-modular"
+    elif not naive_verify_basis(head, ell)[0]:
+        refusal = "basis head invalid"
+    else:
+        refusal = None
+    if refusal is not None:
+        with pytest.raises(InvalidSystemError, match=f"^{refusal}"):
+            compose_system(a_set, head=head)
+        return
+    sys_ = compose_system(a_set, head=head)
+    assert (sys_.a_set, sys_.basis) == (tuple(a_set), Basis(head, 3 ** (len(head) + ell)))
+    b = sys_.basis.element
+    n0 = next(n for n in range(1, 64)
+              if all(b(k) == 3 ** (k + ell) for k in range(n, len(head)))
+              and b(n) > max(a_set) + sum(map(b, range(n))))
+    assert sys_.n0 == n0 and sys_.modulus == 3 ** (n0 + ell)
+    cover = modularize(sys_)
+    assert list(cover.elements) == naive_expansion(a_set, [b(k) for k in range(n0)])
 
 
 def test_compose_matches_greedy():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     values = compose(sys1, count=120)
     cover = modularize(sys1)
     assert values == list(generate(cover.elements, count=120).terms)
@@ -226,7 +266,7 @@ def test_compose_matches_greedy():
 
 
 def test_compose_limit():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     by_count = compose(sys1, count=64)
     assert compose(sys1, limit=by_count[-1]) == by_count
     with pytest.raises(ValueError):
@@ -235,7 +275,7 @@ def test_compose_limit():
 
 def test_modularize_tiles_the_composition():
     for index, side in [(1, "A"), (1, "B"), (2, "A")]:
-        sysx = compose_system(family_set(index, side), ell=index + 1)
+        sysx = compose_system(family_set(index, side))
         cover = modularize(sysx)
         assert verify_modular(cover.elements, cover.modulus).verdict == "modular"
         assert len(cover.elements) == 2 ** (index + 1 + sysx.n0)
@@ -250,12 +290,12 @@ def test_modularize_tiles_the_composition():
 
 
 ORACLE_SYSTEMS = [
-    pytest.param(family_set(index, side, shift), index + 1, (), id=f"{side}{index}-shift{shift}")
+    pytest.param(family_set(index, side, shift), (), id=f"{side}{index}-shift{shift}")
     for index in (1, 2)
     for side in ("A", "B")
     for shift in range(4)
 ] + [
-    pytest.param((0,), 0, head, id="head-" + "-".join(map(str, head)))
+    pytest.param((0,), head, id="head-" + "-".join(map(str, head)))
     for head in ((1,), (2, 6), (4, 6), (5, 15), (2, 6, 36))
 ]
 
@@ -280,9 +320,9 @@ def assert_matches_reference(expand, reference, horizon):
         assert expand(count=count, limit=limit) == [v for v in exact if v <= limit][:count]
 
 
-@pytest.mark.parametrize("elements,ell,head", ORACLE_SYSTEMS)
-def test_compose_modularize_and_expand_modular_match_the_naive_expansion(elements, ell, head):
-    sys_ = compose_system(elements, ell=ell, head=head)
+@pytest.mark.parametrize("elements,head", ORACLE_SYSTEMS)
+def test_compose_modularize_and_expand_modular_match_the_naive_expansion(elements, head):
+    sys_ = compose_system(elements, head=head)
     window = [sys_.basis.element(k) for k in range(6)]
     assert_matches_reference(
         lambda **bounds: compose(sys_, **bounds),
@@ -302,7 +342,7 @@ def test_compose_modularize_and_expand_modular_match_the_naive_expansion(element
 def test_modularize_refuses_covers_past_the_cap(monkeypatch):
     # The check reads |A| * 2**n0 off the system: the cap itself passes,
     # one doubling past it raises before the kernel runs.
-    sys2 = compose_system(family_set(2, "A"), ell=3)
+    sys2 = compose_system(family_set(2, "A"))
     size = len(sys2.a_set) << sys2.n0
     monkeypatch.setattr(basis, "COVER_CAP", size)
     assert len(modularize(sys2).elements) == size
@@ -320,7 +360,7 @@ def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
     monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
     monkeypatch.setattr(basis, "verify_modular", lambda values, modulus: report)
     with pytest.raises(NotModularError) as err:
-        modularize(compose_system((0,), ell=0, head=(2, 6)))
+        modularize(compose_system((0,), head=(2, 6)))
     assert err.value.report is report
     assert str(err.value) == (
         "composition invariant broken: cover fails modularity at 9: "
@@ -371,7 +411,7 @@ def test_modularize_checks_every_pair_only_when_the_certificate_refuses(monkeypa
     expand = basis._expand
     monkeypatch.setattr(basis, "_expand", expand_spy)
     monkeypatch.setattr(basis, "verify_modular", verify_spy)
-    sys1 = compose_system(family_set(2, "A", 3), ell=3)
+    sys1 = compose_system(family_set(2, "A", 3))
     cover = modularize(sys1)
     assert calls == []
     monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
@@ -392,7 +432,7 @@ def test_hand_built_systems_with_a_collision_raise():
 
 
 def test_decompose_known_value():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     # 29 = 2 + 27 = 2 + b_1, so delta hits only index 1
     dec = decompose(29, sys1)
     assert dec.a == 2
@@ -401,14 +441,14 @@ def test_decompose_known_value():
 
 
 def test_decompose_round_trip_full_prefix():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     for v in compose(sys1, count=300):
         assert decompose(v, sys1).value(sys1) == v
 
 
 def test_ell_zero_system_is_the_plain_basis_expansion():
     head = (2, 6)
-    sys0 = compose_system((0,), ell=0, head=head)
+    sys0 = compose_system((0,), head=head)
     values = compose(sys0, count=200)
     assert values == expand_basis(Basis(head), count=200)
     assert compose(sys0, limit=values[-1]) == expand_basis(Basis(head), limit=values[-1])
@@ -425,7 +465,7 @@ def test_ell_zero_system_is_the_plain_basis_expansion():
 
 
 def test_decompose_rejects_non_members():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     members = set(compose(sys1, count=200))
     for v in range(200):
         if v in members:
@@ -439,13 +479,13 @@ def test_decompose_rejects_non_members():
 def test_decompose_refuses_a_rest_that_turns_negative():
     # 1 = b_0 = 4 (mod 3), so delta_0 = 1 is pinned, but 1 - 4 < 0.
     with pytest.raises(NotRepresentableError, match=r"^1 is not a member value$"):
-        decompose(1, compose_system((0,), 0, head=(4,)))
+        decompose(1, compose_system((0,), head=(4,)))
 
 
 @given(st.integers(0, 2**40))
 @settings(max_examples=100, deadline=None)
 def test_decompose_recompose_is_identity_on_members(bits):
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     # build a member value directly from random delta bits
     a = sys1.a_set[bits % len(sys1.a_set)]
     delta = tuple((bits >> k) & 1 for k in range(20))
@@ -461,7 +501,7 @@ def test_decompose_recompose_is_identity_on_members(bits):
 
 def test_decompose_beyond_eighty_levels():
     # 3**102 is basis element 100 of this system, 101 levels deep.
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     value = 6 + 3**102
     dec = decompose(value, sys1)
     assert dec.a == 6 and dec.delta == (0,) * 100 + (1,)
@@ -469,5 +509,5 @@ def test_decompose_beyond_eighty_levels():
 
 
 def test_decomposition_value_helper():
-    sys1 = compose_system(family_set(1, "A"), ell=2)
+    sys1 = compose_system(family_set(1, "A"))
     assert Decomposition(a=5, delta=(1, 0, 1)).value(sys1) == 5 + 9 + 81

@@ -892,8 +892,25 @@ def test_integer_lists_may_start_with_a_minus_sign(capsys, argv, message):
 
 
 def test_positivity_validation(capsys):
-    code, _, err = run_cli(capsys, "gen", "--seed", "0", "--count", "-3")
-    assert code == EXIT_INPUT and "positive" in err
+    code, out, err = run_cli(capsys, "gen", "--seed", "0", "--count", "-3")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: --count must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "0", "--count"],
+    ["growth", "--seed", "0", "--count"],
+    ["character", "--lambda", "10", "--count"],
+    ["analyze", "--seed", "0", "--count"],
+    ["gen", "--seed", "0", "--limit"],
+    ["growth", "--seed", "0", "--limit"],
+], ids=["gen-count", "growth-count", "character-count", "analyze-count", "gen-limit",
+        "growth-limit"])
+def test_count_and_limit_must_be_nonnegative(capsys, argv):
+    # Zero passes the bound check and reaches the command's own checks, so
+    # the refusal of -1 says "nonnegative".
+    option = argv[-1]
+    assert run_cli(capsys, *argv, "-1") == (EXIT_INPUT, "", f"error: {option} must be nonnegative\n")
+    assert "must be" not in run_cli(capsys, *argv, "0")[2]
 
 
 @pytest.mark.parametrize("depth", ["-1", "0"])

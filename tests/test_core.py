@@ -371,7 +371,7 @@ def test_seed_validation_errors():
     lambda v: has_3ap([0, v, 3]),
     lambda v: verify_modular([0, v, 5, 6], 9),
     lambda v: verify_near_modular([0, v, 5, 6], 9),
-    lambda v: compose_system([0, v, 5, 6], 2),
+    lambda v: compose_system([0, v, 5, 6]),
     lambda v: expand_modular([0, v, 5, 6], 9, count=8),
     lambda v: minimal_generating_prefix([0, v, 5, 6]),
     lambda v: character_at([0, v, 5, 6, 9], 1),
@@ -385,7 +385,7 @@ def test_entry_points_refuse_non_integers(call, bad):
     call(np.int64(2))  # numpy integers are integers
 
 
-_SYSTEM = compose_system(family_set(1, "A", 1), 2)
+_SYSTEM = compose_system(family_set(1, "A", 1))
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "5"], ids=["float", "bool", "str"])
@@ -420,6 +420,8 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: validate_seed((0, 2**62)), OverflowLimitError,
      f"seed element {2**62} exceeds value cap"),
     (lambda: minimal_generating_prefix((1, 2)), ValueError, "sequence must start at 0"),
+    (lambda: minimal_generating_prefix((0, 1, 3, 2**62)), OverflowLimitError,
+     f"seed element {2**62} exceeds value cap"),
     # No prefix regenerates these, the full sequence included.
     (lambda: minimal_generating_prefix((0, 1, 2)), InvalidSeedError,
      r"seed contains the arithmetic progression \(0, 1, 2\)"),
@@ -453,7 +455,7 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: explore_basic_characters(2, 4, budget=-1), ValueError, "budget must be nonnegative"),
     (lambda: verify_plan(plan_character(40), 0), ValueError, "depth must be positive"),
     (lambda: generate([0]), ValueError, "need a count bound or a value limit"),
-], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero",
+], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero", "prefix_cap",
         "prefix_progression", "prefix_unsorted_progression", "prefix_repeat",
         "prefix_late_progression", "prefix_order",
         "modular_distinct", "modular_modulus", "zero_index", "family_index", "search_budget",

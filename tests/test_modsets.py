@@ -675,7 +675,7 @@ def test_verification_matches_oracle_on_near_modular_sets(family, shift, extra):
 @settings(max_examples=60, deadline=None)
 def test_verification_matches_oracle_on_mutated_covers(family, shift, data):
     index, side = family
-    cover = modularize(compose_system(family_set(index, side, shift), ell=index + 1))
+    cover = modularize(compose_system(family_set(index, side, shift)))
     values = list(cover.elements)
     pos = data.draw(st.integers(0, len(values) - 1))
     action = data.draw(st.sampled_from(["keep", "drop", "move", "add"]))
@@ -808,7 +808,7 @@ def test_certificate_accepts_every_family_recipe_to_shift_20():
     for index in modsets.FAMILY_INDICES:
         for side in ("A", "B"):
             for shift in range(21):
-                sys_ = compose_system(family_set(index, side, shift), ell=index + 1)
+                sys_ = compose_system(family_set(index, side, shift))
                 a_set, steps, values = cover_structure(sys_)
                 assert modsets._cover_certificate(a_set, steps, sys_.modulus) == tuple(values)
                 assert modsets._first_violation(values, sys_.modulus) is None
@@ -848,9 +848,9 @@ def certificate_is_sound(a_set, steps, modulus):
 
 
 MUTATION_BASES = {
-    "A1": lambda: compose_system(family_set(1, "A"), ell=2),
-    "B2": lambda: compose_system(family_set(2, "B", 3), ell=3),
-    "A3": lambda: compose_system(family_set(3, "A", 1), ell=4),
+    "A1": lambda: compose_system(family_set(1, "A")),
+    "B2": lambda: compose_system(family_set(2, "B", 3)),
+    "A3": lambda: compose_system(family_set(3, "A", 1)),
     "lambda-40": lambda: plan_character(40).system,
     "lambda-1540": lambda: plan_character(1540).system,
     "lambda-3000": lambda: plan_character(3000).system,

@@ -16,7 +16,7 @@ from stanley import (
 )
 
 _SEQ = generate([0], count=8)
-_SYSTEM = compose_system(family_set(1, "A"), 2)
+_SYSTEM = compose_system(family_set(1, "A"))
 _PLAN = plan_character(40)
 
 # One valid call per public function or method with an integer argument,
@@ -35,7 +35,6 @@ BASE_CALLS = {
     "search_near_modular": dict(ell=1, max_element=6, budget=10**4, workers=1),
     "Basis.element": dict(self=Basis((1,)), k=2),
     "expand_basis": dict(b=Basis((1,)), count=4),
-    "compose_system": dict(a_set=(0, 2, 5, 6), ell=2),
     "compose": dict(sys=_SYSTEM, count=4),
     "decompose": dict(value=2, sys=_SYSTEM),
     "expand_modular": dict(elements=(0, 2, 5, 6), modulus=9, count=4),
