@@ -17,14 +17,15 @@ proportional to the requested output, and any collision between two
 distinct sums is detected and reported rather than silently
 deduplicated.  expand_basis starts from {0} and compose from A, both over
 the basis; expand_modular from a modular A over N, 3N, 9N, ..., whose
-subset sums are N * S({0}); modularize from A over b_0, ..., b_{n0-1},
-but only when the level certificate of modsets refuses that cover.
+subset sums are N * S({0}).  modularize's cover, the sums of A over b_0,
+..., b_{n0-1}, comes from the level certificate of modsets, which builds
+it in numpy and proves it modular.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator
 
 from .core import _bounds, _integer, _integers
@@ -169,71 +170,74 @@ def expand_basis(
 
 @dataclass(frozen=True)
 class ComposedSystem:
-    """Near-modular set A of size 2**ell paired with a basis whose tail
-    starts at 3**(len(head) + ell).
+    """Near-modular set A of size 2**ell composed with the basis
+    Basis(head, 3**(len(head) + ell)), checked as it is built, so no
+    invalid system exists.
 
-    Invariants are established by compose_system: A is near-modular with
-    respect to 3**ell, every b_k has 3-adic valuation exactly k + ell, and
-    n0 is the least index >= 1 from which the tail is exact powers and
-    b_{n0} > max(A) + sum of all earlier basis elements.
+    ell is read off the set as log2 |A|.  A must be near-modular with
+    respect to 3**ell and every b_k have 3-adic valuation exactly k + ell;
+    InvalidSystemError names the first check that fails, or a size that is
+    not a power of two.  n0 is derived: the least index >= 1 from which the
+    tail is exact powers and b_{n0} > max(A) + sum of all earlier basis
+    elements.  A = (0,), so ell = 0, composes the plain subset-sum
+    expansion of Basis(head).  The basis keeps ``head``: fields, repr and
+    equality are (a_set, basis, n0).
     """
 
     a_set: tuple[int, ...]
-    basis: Basis
-    n0: int
+    head: InitVar[Iterable[int]] = ()
+    basis: Basis = field(init=False)
+    n0: int = field(init=False)
+
+    def __post_init__(self, head: Iterable[int]):
+        elements = tuple(sorted(_integers(self.a_set)))
+        ell = len(elements).bit_length() - 1
+        if not elements or len(elements) != 2**ell:
+            raise InvalidSystemError(f"set size {len(elements)} is not a power of two")
+        report = verify_near_modular(elements, 3**ell)
+        if report.verdict == "invalid":
+            raise InvalidSystemError(
+                f"set is not near-modular with respect to 3**{ell}: {report.violation}"
+            )
+        head = tuple(head)
+        basis = Basis(head, 3 ** (len(head) + ell))
+        basis_report = verify_basis(basis)
+        if not basis_report.valid:
+            raise InvalidSystemError(
+                f"basis head invalid at index {basis_report.index}"
+                f" ({basis_report.reason})"
+            )
+
+        # The n0 rule; n0 always exists, as the exact powers eventually
+        # triple past the (slower) partial sums.
+        exact_from = len(basis.head)
+        for k in range(len(basis.head) - 1, -1, -1):
+            if basis.head[k] != 3 ** (k + ell):
+                break
+            exact_from = k
+        n0 = max(1, exact_from)
+        prior = sum(basis.element(k) for k in range(n0))
+        while basis.element(n0) <= elements[-1] + prior:
+            prior += basis.element(n0)
+            n0 += 1
+        object.__setattr__(self, "a_set", elements)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "n0", n0)
 
     @property
     def modulus(self) -> int:
-        """b_{n0}, which compose_system makes 3**(n0 + ell), 2**ell = |A|."""
+        """b_{n0}, which the n0 rule makes 3**(n0 + ell), 2**ell = |A|."""
         return self.basis.element(self.n0)
 
 
-def compose_system(
-    a_set: Iterable[int],
-    *,
-    head: tuple[int, ...] = (),
-) -> ComposedSystem:
-    """Validate and assemble a composed system.
+# dataclasses.replace reads the InitVar head off the instance, so a
+# replaced system is rebuilt, and checked, from its own head.
+ComposedSystem.head = property(lambda self: self.basis.head)
 
-    ell is read off the set as log2 |A|.  ``head`` lists explicit leading
-    basis elements; the tail continues with exact powers 3**(k + ell),
-    Basis(head, 3**(len(head) + ell)).  With A = (0,), so ell = 0, the
-    composition is the plain subset-sum expansion of Basis(head).  Raises
-    InvalidSystemError when |A| is not a power of two, on a valuation
-    failure, or when A is not near-modular with respect to 3**ell.
-    """
-    elements = tuple(sorted(_integers(a_set)))
-    ell = len(elements).bit_length() - 1
-    if not elements or len(elements) != 2**ell:
-        raise InvalidSystemError(f"set size {len(elements)} is not a power of two")
-    report = verify_near_modular(elements, 3**ell)
-    if report.verdict == "invalid":
-        raise InvalidSystemError(
-            f"set is not near-modular with respect to 3**{ell}: {report.violation}"
-        )
-    head = tuple(head)
-    basis = Basis(head, 3 ** (len(head) + ell))
-    basis_report = verify_basis(basis)
-    if not basis_report.valid:
-        raise InvalidSystemError(
-            f"basis head invalid at index {basis_report.index}"
-            f" ({basis_report.reason})"
-        )
 
-    # Least n >= 1 with the tail exact from n on and b_n dominating the
-    # head sums plus max(A); such an n always exists because the exact
-    # powers eventually triple past the (slower) partial sums.
-    exact_from = len(basis.head)
-    for k in range(len(basis.head) - 1, -1, -1):
-        if basis.head[k] != 3 ** (k + ell):
-            break
-        exact_from = k
-    n0 = max(1, exact_from)
-    prior = sum(basis.element(k) for k in range(n0))
-    while basis.element(n0) <= elements[-1] + prior:
-        prior += basis.element(n0)
-        n0 += 1
-    return ComposedSystem(a_set=elements, basis=basis, n0=n0)
+def compose_system(a_set: Iterable[int], *, head: tuple[int, ...] = ()) -> ComposedSystem:
+    """ComposedSystem(a_set, head): the system, with its checks."""
+    return ComposedSystem(a_set, head)
 
 
 def compose(
@@ -254,12 +258,11 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
     """Finite modular cover of the composed sequence.
 
     L = { a + sum(delta_k * b_k, k < n0) } taken modulo b_{n0} tiles the
-    full composition: compose(sys) = L + modulus * S({0}).
-    L is the level certificate's, when it proves L modular.  Otherwise
-    the merge kernel sums L, raising DuplicateSumError on a repeat, and
-    verify_modular checks every pair; a failure there is an invariant
-    violation, reported loudly.  A cover of more than COVER_CAP elements
-    raises BudgetExceededError before any sum is built.
+    full composition: compose(sys) = L + modulus * S({0}).  The level
+    certificate of modsets builds L and proves it modular, exactly; the
+    system's invariants are what make it accept, so a refusal raises
+    NotModularError naming the modulus.  A cover of more than COVER_CAP
+    elements raises BudgetExceededError before any sum is built.
     """
     size = len(sys.a_set) << sys.n0
     if size > COVER_CAP:
@@ -269,14 +272,9 @@ def modularize(sys: ComposedSystem) -> NearModularSet:
     prefix = [sys.basis.element(k) for k in range(sys.n0)]
     values = _cover_certificate(sys.a_set, prefix, sys.modulus)
     if values is None:
-        values = tuple(_expand(sys.a_set, prefix, (), None, None))
-        report = verify_modular(values, sys.modulus)
-        if report.verdict != "modular":
-            raise NotModularError(
-                f"composition invariant broken: cover fails modularity at "
-                f"{sys.modulus}: {report.violation}",
-                report=report,
-            )
+        raise NotModularError(
+            f"the level certificate refuses the cover modulo {sys.modulus}"
+        )
     return NearModularSet(values, sys.modulus, "modular")
 
 
@@ -321,8 +319,8 @@ def decompose(value: int, sys: ComposedSystem) -> Decomposition:
     """Invert compose: recover (a, delta) for a member value.
 
     Successive reduction: a is pinned by the residue mod
-    N0 = tail_start // 3**len(head), which compose_system makes 3**ell
-    with ell = log2 |A| (elements of A are pairwise distinct there), then
+    N0 = tail_start // 3**len(head), which the system makes 3**ell with
+    ell = log2 |A| (elements of A are pairwise distinct there), then
     each delta_k is pinned modulo N0 * 3**(k + 1) because all later basis
     elements vanish at that modulus while b_k does not.  A value outside
     the sequence fails one of these steps and raises NotRepresentableError.

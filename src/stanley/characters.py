@@ -45,7 +45,7 @@ from .errors import (
     NotRealizableError,
     PlanVerificationError,
 )
-from .modsets import FAMILY_INDICES, NearModularSet, _branches, family_set
+from .modsets import DEFAULT_NODE_BUDGET, FAMILY_INDICES, NearModularSet, _branches, family_set
 # Unused here; perfbench/tests/test_perfbench.py asserts this name is modsets' function.
 from .modsets import verify_modular  # noqa: F401
 
@@ -186,9 +186,9 @@ def verify_plan(plan: CharacterPlan, depth: int = 6) -> structure.IndependenceCe
     Checks that the realization is the greedy run seeded with the plan's
     modular cover, against the sieve's marks one window fill at a time,
     then runs the independence analysis and insists the certified
-    character equals the target.  The analysis depth is raised to the cover's block scale
-    when that exceeds ``depth``, so the certificate always reaches the
-    level where the block structure locks in.
+    character equals the target.  The analysis depth is raised to the
+    cover's block scale when that exceeds ``depth``, so the certificate
+    always reaches the level where the block structure locks in.
     """
     depth = core._integer(depth, "depth", 1)
     cover = plan.cover
@@ -322,7 +322,7 @@ def _explore_branch(job, counter=None) -> list[tuple[tuple[int, ...], str, tuple
 def explore_basic_characters(
     head_length: int,
     max_entry: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ) -> list[ExploredBasis]:
     """Survey basis heads and report the characters their expansions show.
@@ -334,8 +334,9 @@ def explore_basic_characters(
     checked against the sieve's marks one window fill at a time, and
     analyzes each survivor.  Purely observational and makes no
     completeness claim; this is where odd characters (such as 7, from
-    Basis((1, 7, 10), 30)) become visible.  ``budget`` caps the number of
-    candidate expansions.  The survey splits once, into one branch per
+    Basis((1, 7, 10), 30)) become visible.  ``budget`` (at least 1,
+    10**8 by default as for search) caps the candidate expansions, all
+    counted before any runs.  The survey splits once, into one branch per
     head length and first entry; each hands back only its survivors, so
     memory grows with the survivors, not the candidates, and results are
     identical for every worker count.  Search's runner, modsets._branches,
@@ -344,25 +345,24 @@ def explore_basic_characters(
     head_length = core._integer(head_length, "head_length", 1)
     max_entry = core._integer(max_entry, "max_entry", 1)
     workers = core._integer(workers, "workers", 1)
-    budget = None if budget is None else core._integer(budget, "budget", 0)
+    budget = core._integer(budget, "budget", 1)
     # A strictly increasing head in [1, max_entry] has at most max_entry entries.
     head_length = min(head_length, max_entry)
-    if budget is not None:
-        # Every head comes with two tail starts, except a head ending in the
-        # exact power p = 3**(length - 1): comb(p - 1, length - 1) such
-        # heads.  heads steps through comb(max_entry, length) by one factor
-        # per length, so no binomial is recomputed from scratch.
-        total, heads, p = 0, 1, 1
-        for length in range(1, head_length + 1):
-            heads = heads * (max_entry - length + 1) // length
-            total += 2 * heads
-            if p <= max_entry:
-                total -= comb(p - 1, length - 1)
-            p *= 3
-        if total > budget:
-            text = core._count_text(total, "candidate heads")
-            verb = "exceeds" if text.startswith("a ") else "exceed"
-            raise BudgetExceededError(f"{text} {verb} the budget {budget}")
+    # Every head comes with two tail starts, except a head ending in the
+    # exact power p = 3**(length - 1): comb(p - 1, length - 1) such heads.
+    # heads steps through comb(max_entry, length) by one factor per
+    # length, so no binomial is recomputed from scratch.
+    total, heads, p = 0, 1, 1
+    for length in range(1, head_length + 1):
+        heads = heads * (max_entry - length + 1) // length
+        total += 2 * heads
+        if p <= max_entry:
+            total -= comb(p - 1, length - 1)
+        p *= 3
+    if total > budget:
+        text = core._count_text(total, "candidate heads")
+        verb = "exceeds" if text.startswith("a ") else "exceed"
+        raise BudgetExceededError(f"{text} {verb} the budget {budget}")
     jobs = [(length, first, max_entry)
             for length in range(1, head_length + 1)
             for first in range(1, max_entry - length + 2)]

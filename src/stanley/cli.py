@@ -208,9 +208,7 @@ def _node_budget(args: argparse.Namespace) -> int:
         raise ValueError(
             f"STANLEY_NODE_BUDGET must be an integer, got {raw!r}"
         ) from None
-    if value <= 0:
-        raise ValueError("STANLEY_NODE_BUDGET must be positive")
-    return value
+    return core._integer(value, "STANLEY_NODE_BUDGET", 1)
 
 
 def _cmd_gen(args: argparse.Namespace) -> Report:

@@ -30,11 +30,11 @@ Peaks: about 12 MB for a 4096-element cover modulo 3**12, 102 MiB (two
 
 A cover L = A + {sum(delta_k * b_k)} built level by level, L' = L u (L
 + b), has a certificate linear in N, _cover_certificate, that
-basis.modularize tries before the table.  A pair y = y' + d*b, z = z' +
-e*b gives 2y - z = (2y' - z') + (2d - e)*b with 2d - e in {0, 2, -1,
-1}, so the counts of 2y - z mod N over all pairs obey cnt' = sum of cnt
-rotated by c*b over those four c, starting from A's |A|^2 table; kept
-saturated at 2, the classes 0, 1 and >= 2 stay exact.  Since (x, x)
+basis.modularize uses in place of the table.  A pair y = y' + d*b, z =
+z' + e*b gives 2y - z = (2y' - z') + (2d - e)*b with 2d - e in {0, 2,
+-1, 1}, so the counts of 2y - z mod N over all pairs obey cnt' = sum of
+cnt rotated by c*b over those four c, starting from A's |A|^2 table;
+kept saturated at 2, the classes 0, 1 and >= 2 stay exact.  Since (x, x)
 lands on x, cnt = 1 at every element of L says exactly that L has
 distinct residues and no mod-AP.  Coverage needs pairs with y >= z.  A
 map O of residues that such pairs reach goes to O' = O u (O + b) u (O +
@@ -48,12 +48,13 @@ ends full exactly when A's ordered pairs reach every residue mod 3**ell,
 which near-modularity of A asks.  The certificate builds the sums and
 returns them, sorted, as modularize's cover only when all lie in [0, N)
 (so residues order as the sums do) with 0 among them, cnt is 1 on each
-(so no two collide), and O is full.  Refusal decides nothing: modularize
-then sums the cover itself, and the table check names the violation, or
-finds none.  Each level is four rotations of N-byte maps, two slice
-operations each, and one saturating minimum, over five maps in all:
-4096 elements modulo 3**12 take 2-3 ms where the table takes about 55,
-and 32768 modulo 3**15 take 0.2 s in 71 MiB on a 2-core x86 host.
+(so no two collide), and O is full.  A composed system's constructor
+checks the invariants that make all of this hold, so modularize takes
+every cover from here, and a refusal raises NotModularError.  Each level
+is four rotations of N-byte maps, two slice operations each, and one
+saturating minimum, over five maps in all: 4096 elements modulo 3**12
+take 2-3 ms where the table takes about 55, and 32768 modulo 3**15 take
+0.2 s in 71 MiB on a 2-core x86 host.
 
 The search keeps the residues still open for the elements chosen so
 far as the bits of an int.  Since N = 3**(ell+1) is odd, a candidate c

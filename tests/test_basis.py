@@ -1,5 +1,8 @@
 """Subset-sum expansion, composition, and exact decomposition."""
 
+import dataclasses
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,6 @@ from stanley import (
     Decomposition,
     DuplicateSumError,
     InvalidSystemError,
-    ModSetReport,
-    ModSetViolation,
     NotModularError,
     NotRepresentableError,
     compose,
@@ -23,12 +24,14 @@ from stanley import (
     family_set,
     generate,
     modularize,
+    search_near_modular,
     verify_basis,
     verify_modular,
     zero_sequence_value,
 )
 
 from stanley import basis
+from stanley.modsets import FAMILY_INDICES
 from stanley.cli import main
 
 from .naive import naive_expansion, naive_is_near_modular, naive_subset_sums, naive_verify_basis
@@ -341,94 +344,165 @@ def test_compose_modularize_and_expand_modular_match_the_naive_expansion(element
 
 def test_modularize_refuses_covers_past_the_cap(monkeypatch):
     # The check reads |A| * 2**n0 off the system: the cap itself passes,
-    # one doubling past it raises before the kernel runs.
+    # one doubling past it raises before the certificate runs.
     sys2 = compose_system(family_set(2, "A"))
     size = len(sys2.a_set) << sys2.n0
     monkeypatch.setattr(basis, "COVER_CAP", size)
     assert len(modularize(sys2).elements) == size
     monkeypatch.setattr(basis, "COVER_CAP", size // 2)
-    monkeypatch.setattr(basis, "_expand", None)
+    monkeypatch.setattr(basis, "_cover_certificate", None)
     with pytest.raises(BudgetExceededError, match=f"cover of {size} elements exceeds the cap of {size // 2}"):
         modularize(sys2)
 
 
 def test_modularize_raises_when_the_cover_fails_its_check(monkeypatch, capsys):
-    # The composition invariant makes every cover modular, so the failure
-    # is forced: the certificate refuses, and the exact check it falls back
-    # to is replaced by one that reports a violation.
-    report = ModSetReport("invalid", ModSetViolation("missing-zero"))
+    # Every valid system's cover passes the level certificate, so the
+    # failure is forced: the certificate refuses, and modularize, which
+    # proves a cover no other way, names the modulus.
     monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
-    monkeypatch.setattr(basis, "verify_modular", lambda values, modulus: report)
-    with pytest.raises(NotModularError) as err:
-        modularize(compose_system((0,), head=(2, 6)))
-    assert err.value.report is report
-    assert str(err.value) == (
-        "composition invariant broken: cover fails modularity at 9: "
-        "ModSetViolation(kind='missing-zero', details=())"
-    )
+    message = "the level certificate refuses the cover modulo 9"
     # The CLI reports it as a negative finding.
     assert main(["character", "--lambda", "8"]) == 1
-    assert capsys.readouterr() == ("", f"error: {err.value}\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # It neither sums the cover nor checks its pairs.
+    monkeypatch.setattr(basis, "_expand", _refuse)
+    monkeypatch.setattr(basis, "verify_modular", _refuse)
+    with pytest.raises(NotModularError, match=f"^{message}$"):
+        modularize(compose_system((0,), head=(2, 6)))
 
 
-BROKEN_COVERS = [
-    ((0, 10), 1, (), 1, "9: ModSetViolation(kind='out-of-range', details=(10, 13))"),
-    ((1, 2), 1, (), 1, "9: ModSetViolation(kind='missing-zero', details=())"),
-    ((0, 1), 1, (4,), 1, "9: ModSetViolation(kind='mod-ap', details=(5, 0, 4))"),
-    ((0,), 0, (1, 2), 2, "9: ModSetViolation(kind='mod-ap', details=(2, 1, 0))"),
-    # Four elements cannot cover 3**41 residues: refused before any
-    # 3**41-byte map is allocated.
-    ((0, 1), 40, (), 1,
-     f"{3**41}: ModSetViolation(kind='uncovered-residue', details=(3,))"),
+def _refuse(*args):
+    raise AssertionError("not called on this path")
+
+
+def test_modularize_takes_every_cover_from_the_certificate(monkeypatch):
+    # The certificate builds the cover and proves it: the merge kernel and
+    # the pairwise check are not called, and the cover is every sum of A
+    # over b_0, ..., b_{n0-1}.
+    calls = []
+
+    def certificate_spy(a_set, steps, modulus):
+        calls.append((a_set, tuple(steps), modulus))
+        return certificate(a_set, steps, modulus)
+
+    certificate = basis._cover_certificate
+    monkeypatch.setattr(basis, "_cover_certificate", certificate_spy)
+    monkeypatch.setattr(basis, "_expand", _refuse)
+    monkeypatch.setattr(basis, "verify_modular", _refuse)
+    sys1 = compose_system(family_set(2, "A", 3))
+    prefix = tuple(sys1.basis.element(k) for k in range(sys1.n0))
+    cover = modularize(sys1)
+    assert calls == [(sys1.a_set, prefix, sys1.modulus)]
+    assert list(cover.elements) == naive_expansion(sys1.a_set, prefix)
+
+
+HAND_BUILT = [
+    # Once built directly with a chosen basis and n0, past compose_system's
+    # checks; now the constructor runs them and refuses each.
+    pytest.param((1, 2), (), "set is not near-modular with respect to 3**1: "
+                 "ModSetViolation(kind='missing-zero', details=())", id="no-zero"),
+    pytest.param((0, 1), (4,), "basis head invalid at index 0 (valuation)", id="head-4"),
+    pytest.param((0,), (1, 2), "basis head invalid at index 1 (valuation)", id="head-1-2"),
+    # decompose once raised a raw ZeroDivisionError for this head under
+    # the tail start 1.
+    pytest.param((0,), (3,), "basis head invalid at index 0 (valuation)", id="head-3"),
 ]
 
 
-@pytest.mark.parametrize("a_set,ell,head,n0,violation", BROKEN_COVERS)
-def test_hand_built_systems_that_are_not_modular_name_their_violation(a_set, ell, head, n0, violation):
-    # Built directly, past compose_system's checks: the certificate refuses
-    # and the exact check names the violation, as it did before the
-    # certificate existed.
-    broken = ComposedSystem(a_set=a_set, basis=Basis(head, 3 ** (len(head) + ell)), n0=n0)
-    with pytest.raises(NotModularError) as err:
-        modularize(broken)
-    assert str(err.value) == f"composition invariant broken: cover fails modularity at {violation}"
-    assert err.value.report.verdict == "invalid"
+@pytest.mark.parametrize("a_set,head,message", HAND_BUILT)
+def test_hand_built_systems_that_break_an_invariant_are_refused(a_set, head, message):
+    for build in (lambda: ComposedSystem(a_set, head), lambda: compose_system(a_set, head=head)):
+        with pytest.raises(InvalidSystemError) as err:
+            build()
+        assert str(err.value) == message
 
 
-def test_modularize_checks_every_pair_only_when_the_certificate_refuses(monkeypatch):
-    # The cover is summed in Python, and every pair checked, only when the
-    # certificate refuses: first the merge kernel, then the table check.
-    calls = []
-
-    def expand_spy(*args):
-        calls.append("expand")
-        return expand(*args)
-
-    def verify_spy(values, modulus):
-        calls.append(len(values))
-        return verify_modular(values, modulus)
-
-    expand = basis._expand
-    monkeypatch.setattr(basis, "_expand", expand_spy)
-    monkeypatch.setattr(basis, "verify_modular", verify_spy)
-    sys1 = compose_system(family_set(2, "A", 3))
-    cover = modularize(sys1)
-    assert calls == []
-    monkeypatch.setattr(basis, "_cover_certificate", lambda a_set, steps, modulus: None)
-    assert modularize(sys1) == cover
-    assert calls == ["expand", len(cover.elements)]
+def test_a_system_is_given_only_its_set_and_head():
+    # basis and n0 are derived: fields, repr and equality read them, but no
+    # caller can give them, so the cases below can no longer be written.
+    assert [f.name for f in dataclasses.fields(ComposedSystem)] == ["a_set", "basis", "n0"]
+    # (0, 10) with n0 = 1 had the cover 0, 3, 10, 13, out of range mod 9.
+    # Derived, n0 = 2 (b_1 = 9 <= 10 + 3), and the cover is modular mod 27.
+    wide = ComposedSystem((0, 10))
+    assert (wide.basis, wide.n0, wide.modulus) == (Basis((), 3), 2, 27)
+    assert modularize(wide).elements == (0, 3, 9, 10, 12, 13, 19, 22)
+    for v in compose(wide, count=100):
+        assert decompose(v, wide).value(wide) == v
+    # ell is read off |A|: (0, 1) composes over 3**(k + 1), never 3**(k + 40).
+    assert ComposedSystem((0, 1)).basis == Basis((), 3)
+    # decompose once answered these wrongly: a raw ZeroDivisionError under
+    # Basis((3,), 1), and NotRepresentableError for 10 under Basis((1,), 10)
+    # although compose listed 10.  Neither basis can be given.
+    for given_basis in (Basis((3,), 1), Basis((1,), 10)):
+        with pytest.raises(TypeError, match="positional arguments"):
+            ComposedSystem((0,), given_basis, 1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'basis'"):
+            ComposedSystem((0,), basis=given_basis)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(wide, basis=given_basis)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(wide, n0=1)
+    plain = ComposedSystem((0,), (1,))
+    assert plain.basis == Basis((1,), 3) and decompose(10, plain) == Decomposition(0, (1, 0, 1))
+    # replace rebuilds from the system's own head, and checks it again.
+    headed = ComposedSystem((0,), (2, 6))
+    assert headed.head == (2, 6) and dataclasses.replace(headed) == headed
+    with pytest.raises(InvalidSystemError, match=r"^basis head invalid at index 0 \(valuation\)$"):
+        dataclasses.replace(headed, a_set=(0, 2, 5, 6))
 
 
 def test_hand_built_systems_with_a_collision_raise():
-    # compose_system rejects both; built directly, each reaches one value
-    # twice.  Here 9 = 9 + 0 = 0 + b_1.
-    broken = ComposedSystem(a_set=(0, 9), basis=Basis((), 3), n0=1)
-    with pytest.raises(DuplicateSumError):
-        compose(broken, count=4)
-    # And 3 = 3 + 0 = 0 + b_0 inside the cover.
-    broken = ComposedSystem(a_set=(0, 3), basis=Basis((), 3), n0=1)
-    with pytest.raises(DuplicateSumError):
-        modularize(broken)
+    # Both were once built past compose_system's checks, and each reached
+    # one value twice: 9 = 9 + 0 = 0 + b_1 in the composition, and
+    # 3 = 3 + 0 = 0 + b_0 in the cover.  Their elements share a residue
+    # mod 3, so the constructor refuses them as compose_system does.
+    for a_set in ((0, 9), (0, 3)):
+        message = (f"set is not near-modular with respect to 3**1: "
+                   f"ModSetViolation(kind='mod-ap', details=(0, {a_set[1]}, {a_set[1]}))")
+        for build in (ComposedSystem, compose_system):
+            with pytest.raises(InvalidSystemError) as err:
+                build(a_set)
+            assert str(err.value) == message
+
+
+@functools.cache
+def _searched_sets():
+    # Every set search_near_modular finds at ell = 1 (4 elements mod 9) up
+    # to 8, and at ell = 2 (8 elements mod 27) up to 30, where those past
+    # 26 are near-modular only.
+    return [s.elements for ell, top in ((1, 8), (2, 30))
+            for m in range(top + 1) for s in search_near_modular(ell, m)]
+
+
+def test_searched_sets_include_near_modular_only_ones():
+    sets = _searched_sets()
+    assert len(sets) == 242
+    assert sum(max(s) >= 27 for s in sets if len(s) == 8) == 116
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cover_certificate_accepts_every_valid_system(data):
+    # modularize has no other way to prove a cover, so the certificate
+    # must accept every valid system's: family sets with their shifts,
+    # searched sets, (0,), each with a random valid head (entry k is
+    # l * 3**(k + ell) with 3 not dividing l; l = 1 is the exact power).
+    a_set = data.draw(st.one_of(
+        st.builds(family_set, st.sampled_from(FAMILY_INDICES), st.sampled_from("AB"),
+                  st.integers(0, 3)),
+        st.sampled_from(_searched_sets()),
+        st.just((0,)),
+    ))
+    ell = len(a_set).bit_length() - 1
+    size = data.draw(st.integers(0, 3))
+    head = tuple(data.draw(st.sampled_from((1, 2, 4, 5, 7, 8))) * 3 ** (k + ell)
+                 for k in range(size))
+    sys_ = ComposedSystem(a_set, head)
+    assert sys_ == compose_system(a_set, head=head)
+    prefix = [sys_.basis.element(k) for k in range(sys_.n0)]
+    cover = basis._cover_certificate(sys_.a_set, prefix, sys_.modulus)
+    assert cover is not None
+    assert list(cover) == naive_expansion(sys_.a_set, prefix)
 
 
 def test_decompose_known_value():

@@ -535,8 +535,17 @@ def test_explore_budget_counts_every_candidate(head_length, max_entry):
         h for n in range(1, head_length + 1) for h in combinations(range(1, max_entry + 1), n)
     )
     total = sum(1 if h[-1] == 3 ** (len(h) - 1) else 2 for h in heads)
-    with pytest.raises(BudgetExceededError, match=f"^{total} candidate heads"):
-        explore_basic_characters(head_length, max_entry, budget=total - 1)
+    if total > 1:
+        with pytest.raises(BudgetExceededError, match=f"^{total} candidate heads"):
+            explore_basic_characters(head_length, max_entry, budget=total - 1)
+    else:
+        # A budget below 1 is an argument error, as in search_near_modular.
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            explore_basic_characters(head_length, max_entry, budget=total - 1)
+    # The exact count passes; (4, 30) takes seconds to run, so only its
+    # refusal is checked.
+    if (head_length, max_entry) != (4, 30):
+        assert explore_basic_characters(head_length, max_entry, budget=total)
 
 
 def test_explore_budget_message_needs_no_binomial_per_length():

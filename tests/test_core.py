@@ -452,7 +452,8 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
     (lambda: verify_modular((-1, 0), 9), ValueError, "elements must be nonnegative"),
     (lambda: explore_basic_characters(0, 4), ValueError, "head_length must be positive"),
     (lambda: explore_basic_characters(2, 0), ValueError, "max_entry must be positive"),
-    (lambda: explore_basic_characters(2, 4, budget=-1), ValueError, "budget must be nonnegative"),
+    (lambda: explore_basic_characters(2, 4, budget=-1), ValueError, "budget must be positive"),
+    (lambda: explore_basic_characters(1, 1, budget=0), ValueError, "budget must be positive"),
     (lambda: verify_plan(plan_character(40), 0), ValueError, "depth must be positive"),
     (lambda: generate([0]), ValueError, "need a count bound or a value limit"),
 ], ids=["decompose_below", "decompose_nonmember", "basis_shift", "seed_cap", "prefix_zero", "prefix_cap",
@@ -462,7 +463,7 @@ def test_single_integer_arguments_refuse_non_integers(call, good, bad):
         "search_workers", "explore_workers", "search_ell", "search_max_minus_5",
         "search_max_minus_100", "search_max_minus_1", "analysis_depth", "character_depth",
         "growth_spacing", "basis_index", "basis_head", "modular_negative", "explore_length",
-        "explore_entry", "explore_budget", "plan_depth", "generate_bounds"])
+        "explore_entry", "explore_budget", "explore_budget_zero", "plan_depth", "generate_bounds"])
 def test_argument_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
