@@ -417,6 +417,43 @@ def test_hand_built_systems_that_break_an_invariant_are_refused(a_set, head, mes
         assert str(err.value) == message
 
 
+NOT_MODULAR_COVERS = [
+    # (0, 10) with n0 = 1: the cover 0, 3, 10, 13 sticks out of [0, 9).
+    ((0, 10), 1, (), 1, "9: ModSetViolation(kind='out-of-range', details=(10, 13))"),
+    # (0, 1) over 3**(k + 40): four elements cannot cover 3**41 residues,
+    # and both checks refuse before any 3**41-entry table is allocated.
+    ((0, 1), 40, (), 1,
+     f"{3**41}: ModSetViolation(kind='uncovered-residue', details=(3,))"),
+]
+
+
+# The ids are those these cases had when such systems could be built.
+@pytest.mark.parametrize(
+    "a_set,ell,head,n0,violation",
+    [pytest.param(*case, id=f"a_set{i}-{case[1]}-head{i}-{case[3]}-{case[4]}")
+     for i, case in zip((0, 4), NOT_MODULAR_COVERS)],
+)
+def test_hand_built_systems_that_are_not_modular_name_their_violation(a_set, ell, head, n0, violation):
+    # Neither system can be written any more: ell is read off |A| and n0 is
+    # derived.  The cover each would have had, every sum of A over
+    # b_0, ..., b_{n0-1} taken modulo b_{n0}, is refused by the level
+    # certificate, and the exact check names the violation.
+    old_basis = Basis(head, 3 ** (len(head) + ell))
+    prefix = [old_basis.element(k) for k in range(n0)]
+    modulus = old_basis.element(n0)
+    cover = sorted(a + s for a in a_set for s in naive_subset_sums(prefix))
+    assert basis._cover_certificate(a_set, prefix, modulus) is None
+    with pytest.raises(NotModularError) as err:
+        expand_modular(cover, modulus, count=1)
+    assert str(err.value) == f"set is not modular with respect to {violation}"
+    assert err.value.report.verdict == "invalid"
+    # The system built from the same set and head derives its own ell and
+    # n0, and its cover is modular.
+    derived = ComposedSystem(a_set, head)
+    assert (len(derived.a_set).bit_length() - 1, derived.n0) != (ell, n0)
+    assert modularize(derived).verdict == "modular"
+
+
 def test_a_system_is_given_only_its_set_and_head():
     # basis and n0 are derived: fields, repr and equality read them, but no
     # caller can give them, so the cases below can no longer be written.
