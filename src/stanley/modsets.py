@@ -68,18 +68,20 @@ would complete a progression with two admitted elements), so the
 largest element, forced into every set, is admitted at the root with 0.
 A candidate legal after it is then exactly one that keeps it legal, the
 walk reaches the same sets in the same ascending order, and no subtree
-is entered whose largest element is already closed.  The tree is split
-once, at the first middle element v1: one branch (0, v1) per v1 legal
-with 0 and the largest element, made as it is handed out and run in
-order by _branches, the runner explore_basic_characters shares: in this
-process, or in a pool of no more processes than branches or usable
-CPUs.  Every branch reports its nodes to one counter and raises once
-the counter as last read plus its nodes not yet added pass the budget.
-A first-only search runs in this process and stops at the first hit,
-counting nodes only up to it.  The last middle slot, whose candidates
-cost only a coverage check, reads them from the open residues one period
-of N at a time, so a wide slot costs O(N) bits per candidate, not its
-width.
+is entered whose largest element is already closed.  Nor is one with
+fewer open values in [start, max_element) than slots left: later
+elements are distinct values there, and residues only close.  The tree
+is split once, at the first middle element v1: one branch (0, v1) per
+v1 legal with 0 and the largest element, made as it is handed out and
+run in order by _branches, the runner explore_basic_characters shares:
+in this process, or in a pool of no more processes than branches or
+usable CPUs.  Every branch reports its nodes to one counter and raises
+once the counter as last read plus its nodes not yet added pass the
+budget.  A first-only search runs in this process and stops at the
+first hit, counting nodes only up to it.  The last middle slot, whose
+candidates cost only a coverage check, reads them from the open
+residues one period of N at a time, so a wide slot costs O(N) bits per
+candidate, not its width.
 """
 
 from __future__ import annotations
@@ -491,12 +493,17 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
                         break
             nodes += stop - start + (open_ * tile >> start & (1 << stop - start) - 1).bit_count()
         else:
+            # Too few open values before max_element for the slots left:
+            # no set below, and the parent counted the candidate.
+            row = open_ * tile >> start
+            if (row & (1 << max_element - start) - 1).bit_count() < size - 1 - len(chosen):
+                return
             # Bit i of bits is start + i.  Peeling one costs O(stop -
             # start) bits, no more than tiling the child row it opens.
             # Candidates are counted as they are reached, so a first_only
             # hit leaves the rest of each row uncounted.
             reached = start
-            bits = open_ * tile >> start & (1 << stop - start) - 1
+            bits = row & (1 << stop - start) - 1
             while bits:
                 rest = bits & bits - 1
                 cand = start + (bits ^ rest).bit_length() - 1
@@ -551,11 +558,13 @@ def search_near_modular(
 
     A node is one candidate examined with ``max_element`` admitted, plus
     one leaf check for each legal candidate for the last middle slot; a
-    first_only search counts the nodes up to its hit.  More than
-    ``budget`` nodes raises BudgetExceededError.  The split counts all its
-    v1 candidates in one step, and every branch adds its nodes to one
-    counter.  A serial search stops at the budget; a pool stops within
-    2**14 nodes per branch in flight past it.
+    slot before it with fewer open values from its start up to
+    ``max_element`` than slots left adds none, and a first_only search
+    counts the nodes up to its hit.  More than ``budget`` nodes raises
+    BudgetExceededError.  The split counts all its v1 candidates in one
+    step, and every branch adds its nodes to one counter.  A serial search
+    stops at the budget; a pool stops within 2**14 nodes per branch in
+    flight past it.
     """
     ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element", 0)
     budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)

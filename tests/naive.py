@@ -127,7 +127,7 @@ def naive_extension_ok(chosen, cand, modulus):
     return True
 
 
-def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
+def naive_branch_search(prefix, modulus, size, max_element, first_only=False, prune=True):
     """(sets, nodes) below one search prefix, checking each candidate anew.
 
     max_element is admitted before any middle slot, so a candidate is
@@ -135,7 +135,9 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
     node is one candidate examined, and one leaf check each time the
     middle slots are all filled; a set counts when its residues 2y - z,
     y >= z, reach every class.  With first_only the walk stops right after
-    the leaf check that finds the first set.
+    the leaf check that finds the first set.  With prune, a middle slot
+    other than the last returns uncounted when fewer values in [start,
+    max_element) than slots left are legal with the chosen elements.
     """
     chosen = list(prefix)
     found = []
@@ -151,6 +153,11 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False):
                 {(2 * y - z) % modulus for y in full for z in full if y >= z}
             ) == modulus:
                 found.append(tuple(full))
+            return
+        if prune and slots_left > 1 and sum(
+            naive_extension_ok(chosen + [max_element], v, modulus)
+            for v in range(start, max_element)
+        ) < slots_left:
             return
         for cand in range(start, max_element - slots_left + 1):
             if first_only and found:

@@ -367,6 +367,31 @@ def test_branch_search_matches_oracle(data):
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
+def test_pruning_unfillable_slots_keeps_the_sets_and_never_adds_nodes(data):
+    # A middle slot with fewer open values before max_element than slots
+    # left returns at once: the oracle finds the same sets with and
+    # without that rule, and never counts more nodes with it.
+    ell = data.draw(st.sampled_from([1, 2, 3]), label="ell")
+    modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
+    max_element = data.draw(st.integers(size - 1, 30 if ell == 3 else 36).filter(
+        lambda m: m % modulus), label="max_element")
+    prefix = data.draw(st.sampled_from(naive_search_prefixes(ell, max_element)[0]), label="prefix")
+    first_only = data.draw(st.booleans(), label="first_only")
+    found, nodes = naive_branch_search(prefix, modulus, size, max_element, first_only)
+    found_all, nodes_all = naive_branch_search(
+        prefix, modulus, size, max_element, first_only, prune=False)
+    assert found == found_all
+    assert nodes <= nodes_all
+
+
+def test_unfillable_slots_are_pruned_before_they_are_walked():
+    # First-only ell = 3 at 35 has no set.  Walking every slot takes
+    # 170,614 nodes; with unfillable slots pruned it takes 26,264.
+    assert search_near_modular(3, 35, first_only=True, budget=60_000) == []
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
 def test_open_residues_match_the_pairwise_check(data):
     # N = 9 ... 729: the integer masks of a progression-free prefix leave
     # residue r open exactly when adding r keeps it progression-free.
@@ -439,7 +464,11 @@ def test_search_budget_threshold_is_exact(monkeypatch, ell, max_element):
     want = search_near_modular(ell, max_element)
     for workers in (1, 2):
         assert search_near_modular(ell, max_element, budget=total, workers=workers) == want
-        with pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)"):
+        # At (2, 7) the prune leaves only the split's one node, and a
+        # budget of 0 is refused as input.
+        below = (pytest.raises(BudgetExceededError, match=rf"\({total - 1}\)") if total > 1
+                 else pytest.raises(ValueError, match="budget must be positive"))
+        with below:
             search_near_modular(ell, max_element, budget=total - 1, workers=workers)
 
 
