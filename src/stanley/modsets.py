@@ -68,17 +68,25 @@ would complete a progression with two admitted elements), so the
 largest element, forced into every set, is admitted at the root with 0.
 A candidate legal after it is then exactly one that keeps it legal, the
 walk reaches the same sets in the same ascending order, and no subtree
-is entered whose largest element is already closed.  Nor is one with
-fewer open values in [start, max_element) than slots left: later
-elements are distinct values there, and residues only close.  The tree
-is split once, at the first middle element v1: one branch (0, v1) per
-v1 legal with 0 and the largest element, made as it is handed out and
-run in order by _branches, the runner explore_basic_characters shares:
-in this process, or in a pool of no more processes than branches or
-usable CPUs.  Every branch reports its nodes to one counter and raises
-once the counter as last read plus its nodes not yet added pass the
-budget.  A first-only search runs in this process and stops at the
-first hit, counting nodes only up to it.  The last middle slot, whose
+is entered whose largest element is already closed.  Nor is one whose
+open values W in [start, max_element) cannot fill the slots left:
+later elements are distinct values of W, since residues only close.
+With p the last element chosen, c and 2c - p cannot both join (p, c,
+2c - p is a progression), nor c and (c + max_element)/2.  A completion
+takes at most one value of each pair in a matching, so a slot returns
+when |W| less the pairs a greedy ascending scan matches is below the
+slots left; the walk still reaches the same sets in the same order.
+The tree is split once, at the first middle element v1: one branch (0,
+v1) per v1 legal with 0 and the largest element, made as it is handed
+out and run in order by _branches, the runner explore_basic_characters
+shares: in this process, or in it and helpers forked beside it that
+claim branches from a shared count, no more processes in all than
+branches or usable CPUs, and none left once the runner returns, raises
+or is closed.  Every branch reports its nodes to one counter, shared
+memory only when helpers exist, and raises once the counter as last
+read plus its nodes not yet added pass the budget.
+A first-only search runs in this process and stops at the first hit,
+counting nodes only up to it.  The last middle slot, whose
 candidates cost only a coverage check, reads them from the open
 residues one period of N at a time, so a wide slot costs O(N) bits per
 candidate, not its width.
@@ -86,11 +94,13 @@ candidate, not its width.
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import functools
+import itertools
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+import types
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -402,51 +412,125 @@ def _covers(chosen: Sequence[int], modulus: int) -> bool:
     return all(covered)
 
 
-# In a pool worker, the counter of the running fan-out, installed by the
-# pool's initializer.  A search branch adds its nodes to its counter every
-# _SHARE_NODES nodes, before it raises, and when it ends.
-_pool_nodes = None
+# A search branch adds its nodes to its counter every _SHARE_NODES nodes,
+# before it raises, and when it ends.
 _SHARE_NODES = 1 << 14
+_AHEAD = 64  # jobs per worker claimed past the one read next
 
 
-def _install_counter(counter) -> None:
-    global _pool_nodes
-    _pool_nodes = counter
-
-
-def _pool_call(fn, job):
-    return fn(job, _pool_nodes)
-
-
-_AHEAD = 64  # jobs per worker handed to a pool past the one read next
-
-
-def _branches(fn, jobs: Iterable, count: int, workers: int, counter=None):
-    # fn(job, counter) for each of the count jobs, in job order.  At most
-    # one worker per job and usable CPU is worth starting; with one, the
-    # jobs run in this process, else in a pool that holds at most _AHEAD
-    # per worker (Executor.map would submit them all at once).  A raise
-    # from a branch, or closing the generator, cancels every branch not
-    # yet handed out.
+def _branches(fn, jobs: Iterable, count: int, workers: int, spent: int = 0):
+    # fn(job, counter) for each of the count jobs, in job order, where
+    # counter.value holds the nodes spent (spent at first) under
+    # counter.get_lock().  At most one worker per job and usable CPU is
+    # worth having, and helpers need os.fork.  With one worker the jobs run
+    # in this process against a plain counter, else in _forked.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, count, cpus or 1)
+    workers = min(workers, count, cpus or 1) if hasattr(os, "fork") else 1
     if workers <= 1:
-        yield from (fn(job, counter) for job in jobs)
-        return
-    call = functools.partial(_pool_call, fn)
-    pending: collections.deque = collections.deque()
-    with ProcessPoolExecutor(workers, initializer=_install_counter,
-                             initargs=(counter,)) as pool:
+        counter = types.SimpleNamespace(value=spent, get_lock=contextlib.nullcontext)
+        return (fn(job, counter) for job in jobs)
+    return _forked(fn, jobs, count, workers, multiprocessing.Value("q", spent))
+
+
+def _forked(fn, jobs: Iterable, count: int, workers: int, counter):
+    # The runner with workers - 1 helpers forked beside this process,
+    # which is a worker too.  A worker claims the next job index from a
+    # shared count under one of _AHEAD * workers tokens, which come back
+    # as results are yielded, and walks its own copy of jobs to it.
+    # Helpers send (index, result, error) down a pipe each; this process
+    # reads them between its own jobs.  Helpers leave through os._exit, so
+    # no buffer or exit handler of the caller runs twice, and one whose
+    # caller is gone stops at its next claim.  A raise or an early close
+    # kills and reaps every helper.
+    from multiprocessing.connection import wait  # only pooled runs pay for it
+
+    caller, source, taken = os.getpid(), iter(jobs), 0
+    claimed = multiprocessing.Value("q", 0)
+    tokens = multiprocessing.Semaphore(_AHEAD * workers)
+
+    def claim(block: bool) -> int:
+        # The next job index, count or more once none is left, or count
+        # when no token is to be had: at once in this process, in a helper
+        # only once its caller is gone.
+        while not tokens.acquire(block, 1):
+            if not block or os.getppid() != caller:
+                return count
+        with claimed.get_lock():
+            claimed.value += 1
+            return claimed.value - 1
+
+    def run(index: int) -> tuple:
+        # (result, error) of job index, walked to from the last one taken.
+        nonlocal taken
+        job = next(itertools.islice(source, index - taken, None))
+        taken = index + 1
         try:
-            for job in jobs:
-                pending.append(pool.submit(call, job))
-                if len(pending) > _AHEAD * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+            return fn(job, counter), None
+        except Exception as exc:
+            return None, exc
+
+    pipes: dict = {}  # read end -> helper pid
+    done: dict = {}  # index -> (result, error)
+    try:
+        for _ in range(workers - 1):
+            read, write = multiprocessing.Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    while (index := claim(True)) < count:
+                        write.send((index, *run(index)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            write.close()
+            pipes[read] = pid
+        for want in range(count):
+            while want not in done:
+                mine = claim(False)
+                if mine < count:
+                    done[mine] = run(mine)
+                for read in wait(list(pipes), 0 if mine < count else None):
+                    try:
+                        index, *outcome = read.recv()
+                    except EOFError:
+                        read.close()
+                        status = os.waitpid(pipes.pop(read), 0)[1]
+                        if status:
+                            raise RuntimeError(f"a branch helper ended with wait status {status}")
+                        continue
+                    done[index] = outcome
+            result, error = done.pop(want)
+            tokens.release()
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        for read, pid in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            read.close()
+
+
+def _pairs(free: int, span: int) -> int:
+    # A greedy matching of the open values of a slot, as bits c - start of
+    # free for c in [start, start + span), span reaching max_element.  With
+    # p = start - 1 the last element chosen, c pairs with 2c - p (p, c, 2c -
+    # p is a progression) or else with (c + max_element)/2 (c, it and
+    # max_element are one), each at bit 2i + 1 or (i + span)/2 for c's bit
+    # i.  Both partners lie above c, so one ascending scan finds them.
+    pairs = 0
+    while free:
+        low = free & -free
+        i = low.bit_length() - 1
+        free ^= low
+        partner = 2 * i + 1
+        if not free >> partner & 1 and not i + span & 1:
+            partner = i + span >> 1
+        if free >> partner & 1:
+            free ^= 1 << partner
+            pairs += 1
+    return pairs
 
 
 def _branch_search(job, counter) -> list[tuple[int, ...]]:
@@ -493,10 +577,16 @@ def _branch_search(job, counter) -> list[tuple[int, ...]]:
                         break
             nodes += stop - start + (open_ * tile >> start & (1 << stop - start) - 1).bit_count()
         else:
-            # Too few open values before max_element for the slots left:
-            # no set below, and the parent counted the candidate.
+            # No set below when the open values before max_element, less
+            # one of each pair that cannot both join, are fewer than the
+            # slots left; the parent counted the candidate.  No matching
+            # takes more than half of them, so it is sought only when that
+            # could leave too few.
             row = open_ * tile >> start
-            if (row & (1 << max_element - start) - 1).bit_count() < size - 1 - len(chosen):
+            span = max_element - start
+            free = row & (1 << span) - 1
+            width, left = free.bit_count(), size - 1 - len(chosen)
+            if width < left or width + 1 >> 1 < left and width - _pairs(free, span) < left:
                 return
             # Bit i of bits is start + i.  Peeling one costs O(stop -
             # start) bits, no more than tiling the child row it opens.
@@ -552,19 +642,21 @@ def search_near_modular(
     The tree splits once, at the first middle element v1: one branch per
     v1 legal with 0 and ``max_element``, each walked in ascending order, so
     results come back sorted, duplicate-free and identical for every
-    worker count.  _branches runs them in at most ``workers`` processes,
-    branches or usable CPUs; ``first_only`` runs them in this process, in
-    order, and stops at the first hit, the lexicographically first set.
+    worker count.  _branches runs them in this process and helpers forked
+    beside it, at most ``workers`` processes, branches or usable CPUs;
+    ``first_only`` runs them in this process, in order, and stops at the
+    first hit, the lexicographically first set.
 
     A node is one candidate examined with ``max_element`` admitted, plus
-    one leaf check for each legal candidate for the last middle slot; a
-    slot before it with fewer open values from its start up to
-    ``max_element`` than slots left adds none, and a first_only search
-    counts the nodes up to its hit.  More than ``budget`` nodes raises
-    BudgetExceededError.  The split counts all its v1 candidates in one
-    step, and every branch adds its nodes to one counter.  A serial search
-    stops at the budget; a pool stops within 2**14 nodes per branch in
-    flight past it.
+    one leaf check for each legal candidate for the last middle slot.  A
+    slot before it adds none when its open values from its start up to
+    ``max_element``, less one for each pair of them matched as unable to
+    both join (see the module docstring), are fewer than the slots left.
+    A first_only search counts the nodes up to its hit.  More than
+    ``budget`` nodes raises BudgetExceededError.  The split counts all its
+    v1 candidates in one step, and every branch adds its nodes to one
+    counter.  A serial search stops at the budget; a pooled one stops
+    within 2**14 nodes per branch in flight past it.
     """
     ell, max_element = _integer(ell, "ell", 1), _integer(max_element, "max_element", 0)
     budget, workers = _integer(budget, "budget", 1), _integer(workers, "workers", 1)
@@ -591,12 +683,11 @@ def search_near_modular(
     count = stop // modulus * root.bit_count() + (root & (1 << stop % modulus) - 1).bit_count()
     # In one process, the counter as last read plus a branch's nodes not
     # yet added is the exact total, so a serial search raises exactly at
-    # the budget.  In a pool it is a lower bound, and the branch that adds
-    # last reads the exact total, so the pool raises exactly when a serial
-    # search would.
-    counter = multiprocessing.Value("q", stop - 1)
+    # the budget.  With helpers it is a lower bound, and the branch that
+    # adds last reads the exact total, so the search raises exactly when a
+    # serial search would.
     results: list[tuple[int, ...]] = []
-    for found in _branches(_branch_search, jobs, count, 1 if first_only else workers, counter):
+    for found in _branches(_branch_search, jobs, count, 1 if first_only else workers, stop - 1):
         results.extend(found)
         if first_only and results:
             break

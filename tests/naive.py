@@ -127,7 +127,10 @@ def naive_extension_ok(chosen, cand, modulus):
     return True
 
 
-def naive_branch_search(prefix, modulus, size, max_element, first_only=False, prune=True):
+PRUNES = ("open", "pairs")
+
+
+def naive_branch_search(prefix, modulus, size, max_element, first_only=False, prune=PRUNES):
     """(sets, nodes) below one search prefix, checking each candidate anew.
 
     max_element is admitted before any middle slot, so a candidate is
@@ -135,13 +138,34 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False, pr
     node is one candidate examined, and one leaf check each time the
     middle slots are all filled; a set counts when its residues 2y - z,
     y >= z, reach every class.  With first_only the walk stops right after
-    the leaf check that finds the first set.  With prune, a middle slot
-    other than the last returns uncounted when fewer values in [start,
-    max_element) than slots left are legal with the chosen elements.
+    the leaf check that finds the first set.
+
+    prune names the rules by which a middle slot other than the last
+    returns uncounted.  Both read W, the values v in [start, max_element)
+    legal with the chosen elements and max_element.  "open": W has fewer
+    values than slots left.  "pairs": with p the last chosen element, each
+    c in W, ascending, that no earlier c took is paired with 2c - p, or
+    else with (c + max_element)/2, whichever first is in W and not yet
+    taken; W less one value per pair has fewer values than slots left.
     """
     chosen = list(prefix)
     found = []
     nodes = 0
+
+    def at_most_kept(legal):
+        # A set takes at most one value of each pair.
+        free, pairs = set(legal), 0
+        for c in legal:
+            if c not in free:
+                continue
+            free.discard(c)
+            halves = [(c + max_element) // 2] if (c + max_element) % 2 == 0 else []
+            for partner in [2 * c - chosen[-1], *halves]:
+                if partner in free:
+                    free.discard(partner)
+                    pairs += 1
+                    break
+        return len(legal) - pairs
 
     def rec(start):
         nonlocal nodes
@@ -154,11 +178,12 @@ def naive_branch_search(prefix, modulus, size, max_element, first_only=False, pr
             ) == modulus:
                 found.append(tuple(full))
             return
-        if prune and slots_left > 1 and sum(
-            naive_extension_ok(chosen + [max_element], v, modulus)
-            for v in range(start, max_element)
-        ) < slots_left:
-            return
+        if slots_left > 1:
+            legal = [v for v in range(start, max_element)
+                     if naive_extension_ok(chosen + [max_element], v, modulus)]
+            if ("open" in prune and len(legal) < slots_left
+                    or "pairs" in prune and at_most_kept(legal) < slots_left):
+                return
         for cand in range(start, max_element - slots_left + 1):
             if first_only and found:
                 return

@@ -5,7 +5,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import Future
 from itertools import combinations
 from math import comb
 
@@ -577,28 +576,17 @@ def test_explore_budget_and_workers():
 
 
 def test_explore_pool_maps_one_branch_per_length_and_first_entry(monkeypatch):
-    # No process starts: the pool runs in this process and records the
-    # jobs it maps and what each returns.
+    # No process starts: the fork runner runs in this process and records
+    # the jobs it is handed and what each returns.
     returned = []
 
-    class FakePool:
-        def __init__(self, max_workers, **options):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
-            returned.append((job, fn(job)))
-            future = Future()
-            future.set_result(returned[-1][1])
-            return future
+    def fake_forked(fn, jobs, count, workers, counter):
+        for job in jobs:
+            returned.append((job, fn(job, counter)))
+            yield returned[-1][1]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(modsets, "_forked", fake_forked)
     results = explore_basic_characters(2, 9, workers=2)
     assert [job for job, _ in returned] == (
         [(1, first, 9) for first in range(1, 10)] + [(2, first, 9) for first in range(1, 9)]

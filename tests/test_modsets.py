@@ -2,11 +2,15 @@
 
 import functools
 import multiprocessing
+import multiprocessing.sharedctypes
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
-from concurrent.futures import Future
+import types
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -219,42 +223,30 @@ def test_search_worker_counts_agree():
     "requested,cpus,expected",
     [(2, 2, 2), (64, 2, 2), (64, 8, 8), (10**9, 128, "jobs"), (3, 1, None),
      pytest.param(64, ("cpu_count", 8), 8, id="64-cpu_count_8-8"),
-     pytest.param(3, ("cpu_count", None), None, id="3-cpu_count_None-None")],
+     pytest.param(3, ("cpu_count", None), None, id="3-cpu_count_None-None"),
+     pytest.param(64, ("no_fork", 8), None, id="64-no_fork_8-None")],
 )
 def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
-    # No process starts: the pool runs in this process and records the
-    # worker count it was asked for, and the CPU affinity is patched.
+    # No process starts: the fork runner runs in this process and records
+    # the worker count it was asked for, and the CPU affinity is patched.
     # ("cpu_count", n): the platform has no CPU affinity and os.cpu_count()
-    # returns n, where None counts as one CPU.
+    # returns n, where None counts as one CPU.  ("no_fork", n): n CPUs, but
+    # the platform has no os.fork, so the jobs run in this process.
     sizes = []
 
-    class FakePool:
-        def __init__(self, max_workers, initializer=None, initargs=(), **options):
-            sizes.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
+    def fake_forked(fn, jobs, count, workers, counter):
+        sizes.append(workers)
+        return (fn(job, counter) for job in jobs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
-            future = Future()
-            future.set_result(fn(job))
-            return future
-
-        def shutdown(self):
-            pass
-
-    if isinstance(cpus, tuple):
+    kind, cpus = cpus if isinstance(cpus, tuple) else ("affinity", cpus)
+    if kind == "cpu_count":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(modsets, "_pool_nodes", None)  # the in-process initializer sets it
+    if kind == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(modsets, "_forked", fake_forked)
     # Search: the first middle elements legal with 0 and 18.  Explore:
     # (head length, first entry) pairs.
     jobs = {"search": len(naive_search_prefixes(2, 18)[0]), "explore": 17}
@@ -268,37 +260,38 @@ def test_worker_count_is_clamped(monkeypatch, requested, cpus, expected):
         assert sizes == ([] if want is None else [want])
 
 
-def test_pool_is_handed_a_bounded_number_of_jobs(monkeypatch):
-    # No process starts.  The runner submits a lazy million jobs to the
-    # pool no faster than it reads the results back, and each comes back
-    # in job order.
-    submitted = []
+def _wait_for_size(path, size, timeout=10.0):
+    # The size of path once it reaches size, or when the timeout ends.
+    deadline = time.monotonic() + timeout
+    while os.path.getsize(path) < size and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return os.path.getsize(path)
 
-    class FakePool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            initializer(*initargs)
 
-        def __enter__(self):
-            return self
+def test_pool_is_handed_a_bounded_number_of_jobs(monkeypatch, tmp_path):
+    # A helper and this process run a lazy million jobs, each logging one
+    # 8-byte record.  The jobs claimed never run more than 2 * _AHEAD past
+    # the results read back, which come back in job order: the helper
+    # catches up to that bound after each read and stops there.
+    log = tmp_path / "claims"
+    log.touch()
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
-            submitted.append(job)
-            future = Future()
-            future.set_result(fn(job))
-            return future
+    def job_log(job, counter):
+        with open(log, "a") as fh:
+            fh.write(f"{job:07d}\n")
+        return job
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(modsets, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(modsets, "_pool_nodes", None)
-    runner = modsets._branches(lambda job, counter: job, iter(range(10**6)), 10**6, 2)
+    runner = modsets._branches(job_log, iter(range(10**6)), 10**6, 2)
     for want in range(300):
         assert next(runner) == want
-        assert len(submitted) == want + 1 + 2 * modsets._AHEAD
+        bound = 8 * (want + 1 + 2 * modsets._AHEAD)
+        assert _wait_for_size(log, bound) == bound
+    time.sleep(0.2)
+    assert os.path.getsize(log) == bound
     runner.close()
-    assert len(submitted) == 300 + 2 * modsets._AHEAD
+    assert os.path.getsize(log) == 8 * (300 + 2 * modsets._AHEAD)
+    assert sorted(map(int, log.read_text().split())) == list(range(300 + 2 * modsets._AHEAD))
 
 
 def test_search_first_only():
@@ -368,26 +361,29 @@ def test_branch_search_matches_oracle(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_pruning_unfillable_slots_keeps_the_sets_and_never_adds_nodes(data):
-    # A middle slot with fewer open values before max_element than slots
-    # left returns at once: the oracle finds the same sets with and
-    # without that rule, and never counts more nodes with it.
+    # A middle slot that too few open values before max_element could fill,
+    # counted whole or one per conflicting pair, returns at once: the oracle
+    # finds the same sets with both rules as with either alone or with
+    # none, and never counts more nodes with both.
     ell = data.draw(st.sampled_from([1, 2, 3]), label="ell")
     modulus, size = 3 ** (ell + 1), 2 ** (ell + 1)
     max_element = data.draw(st.integers(size - 1, 30 if ell == 3 else 36).filter(
         lambda m: m % modulus), label="max_element")
     prefix = data.draw(st.sampled_from(naive_search_prefixes(ell, max_element)[0]), label="prefix")
     first_only = data.draw(st.booleans(), label="first_only")
+    fewer = data.draw(st.sampled_from([(), ("open",), ("pairs",)]), label="fewer")
     found, nodes = naive_branch_search(prefix, modulus, size, max_element, first_only)
-    found_all, nodes_all = naive_branch_search(
-        prefix, modulus, size, max_element, first_only, prune=False)
-    assert found == found_all
-    assert nodes <= nodes_all
+    found_fewer, nodes_fewer = naive_branch_search(
+        prefix, modulus, size, max_element, first_only, prune=fewer)
+    assert found == found_fewer
+    assert nodes <= nodes_fewer
 
 
 def test_unfillable_slots_are_pruned_before_they_are_walked():
     # First-only ell = 3 at 35 has no set.  Walking every slot takes
-    # 170,614 nodes; with unfillable slots pruned it takes 26,264.
-    assert search_near_modular(3, 35, first_only=True, budget=60_000) == []
+    # 170,614 nodes, pruning slots with too few open values 26,264, and
+    # counting one value per conflicting pair as well 3,882.
+    assert search_near_modular(3, 35, first_only=True, budget=5_000) == []
 
 
 @given(data=st.data())
@@ -486,7 +482,7 @@ def test_first_only_budget_threshold_is_exact(ell, max_element):
 def test_serial_branches_share_one_budget(monkeypatch):
     # Every serial branch is handed the search's one counter, which holds
     # what the split and the earlier branches spent when it starts, and
-    # no module global is set.
+    # is a plain one in this process.
     seen = []
     branch = modsets._branch_search
 
@@ -503,30 +499,29 @@ def test_serial_branches_share_one_budget(monkeypatch):
         assert (budget, value) == (10**6, spent)
         spent += naive_branch_search(prefix, 27, 8, 18)[1]
     assert seen[0][1].value == spent
-    assert modsets._pool_nodes is None
+    assert isinstance(seen[0][1], types.SimpleNamespace)  # no shared memory
 
 
-_BRANCH_LOG = ""  # file the pool branches below append to; fork workers inherit it
+_BRANCH_LOG = ""  # file the pool branches below append to; forked helpers inherit it
 _SLOW_PREFIX = ()  # branches from this prefix on sleep before searching
 _unlogged_branch = modsets._branch_search
 
 
 def _logged_branch(job, counter):
     with open(_BRANCH_LOG, "a") as log:
-        log.write(f"{job[4]},{counter is not None and counter is modsets._pool_nodes}\n")
+        log.write(f"{job[4]},{isinstance(counter, multiprocessing.sharedctypes.Synchronized)}\n")
     if job[0] >= _SLOW_PREFIX:
         time.sleep(1)
     return _unlogged_branch(job, counter)
 
 
 def test_pool_search_cancels_branches_after_an_overrun(monkeypatch, tmp_path):
-    # Each pool branch reports to the counter the initializer installed,
-    # which starts at what the split spent; the budget leaves one node
-    # more, so the first branch overruns at once.  The later branches are
-    # slowed so that the overrun is read while they are in flight.  Only
-    # the branches the pool has already handed out may still start: one
-    # running per worker and the workers + 1 calls it keeps queued, not
-    # all 29.
+    # Each branch, in this process or a helper, reports to the one shared
+    # counter, which starts at what the split spent; the budget leaves one
+    # node more, so the first branch overruns at once.  The later branches
+    # are slowed so that the overrun is read while they are in flight.
+    # Only the branches claimed before the overrun is read may still start:
+    # a few, not all 29.  No helper outlives the search.
     prefixes, spent = naive_search_prefixes(2, 36)
     log = tmp_path / "branches"
     monkeypatch.setattr(f"{__name__}._BRANCH_LOG", str(log))
@@ -538,11 +533,46 @@ def test_pool_search_cancels_branches_after_an_overrun(monkeypatch, tmp_path):
     given = log.read_text().split()
     assert set(given) == {f"{spent + 1},True"}
     assert len(given) <= 1 + 2 + 3 < len(prefixes)
-    assert modsets._pool_nodes is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("end", ["returns", "raises", "closed"])
+def test_pooled_runs_leave_no_child_process(monkeypatch, end):
+    # Whether a pooled search returns or raises, or a pooled run is closed
+    # after its first result, every helper is reaped before control comes
+    # back, so this process has no child left.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if end == "returns":
+        assert search_near_modular(2, 36, workers=2) == search_near_modular(2, 36)
+    elif end == "raises":
+        with pytest.raises(BudgetExceededError):
+            search_near_modular(2, 36, budget=1_000, workers=2)
+    else:
+        runner = modsets._branches(lambda job, counter: job, iter(range(10**6)), 10**6, 2)
+        assert next(runner) == 0
+        runner.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_helpers_never_flush_the_callers_output():
+    # Text written without a newline waits in the caller's stdout buffer
+    # when a helper is forked; the helper leaves without flushing its copy.
+    code = ("import os, sys; from stanley import cli; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; sys.stdout.write('unflushed'); "
+            "cli.main(['search', '--ell', '2', '--max-element', '18', '--workers', '2'])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # the text must wait in the buffer
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("unflushed") == 1
+    assert proc.stdout.startswith("unflushed")
 
 
 def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
-    # A pool branch reports to the installed counter.  It raises once what
+    # A pooled branch reports to the shared counter.  It raises once what
     # it last read there plus its own nodes pass the budget, though its
     # own nodes alone would not, and adds its nodes before it raises.
     prefixes, spent = naive_search_prefixes(2, 36)
@@ -550,12 +580,11 @@ def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
     found, nodes = naive_branch_search(prefix, 27, 8, 36)
     job = (prefix, 27, 8, 36, spent + nodes, False)
     counter = multiprocessing.Value("q", spent)
-    monkeypatch.setattr(modsets, "_pool_nodes", counter)
-    assert modsets._pool_call(modsets._branch_search, job) == found
+    assert modsets._branch_search(job, counter) == found
     assert counter.value == spent + nodes
     counter.value = spent + 1  # another branch has spent one node
     with pytest.raises(BudgetExceededError):
-        modsets._pool_call(modsets._branch_search, job)
+        modsets._branch_search(job, counter)
     assert counter.value == spent + 1 + nodes  # it overran on its last node
     # Another branch spends as much again while this one runs, after its
     # first share.  The branch reads that at its next share, every
@@ -571,7 +600,7 @@ def test_pool_branches_stop_at_the_shared_budget(monkeypatch):
     monkeypatch.setattr(modsets, "_admit", busy_admit)
     monkeypatch.setattr(modsets, "_SHARE_NODES", 64)
     with pytest.raises(BudgetExceededError):
-        modsets._pool_call(modsets._branch_search, job)
+        modsets._branch_search(job, counter)
     assert spent + nodes < counter.value < spent + nodes + 64 + 2 * 36 < spent + 2 * nodes
 
 
